@@ -22,10 +22,19 @@
 // overhead check (<= 3% vs serial; serial must stay unregressed: compare
 // serial_us against previous runs).
 //
+// The power-law case also runs a *capped* leg (rows "powerlaw-capped",
+// metrics capped_*): match_limit = a quarter of the heaviest query's
+// count, the paper's per-query-cap setting (Sec IV-A). There nearly every
+// recursive call is an emission, so the leg times EnumBudget's claim path
+// — the unlimited leg above bypasses it entirely. Every capped run, serial
+// and parallel at each thread count, must emit exactly
+// min(full count, cap) matches (checked fatally).
+//
 // --smoke shrinks everything for CI: a seconds-long run that still
-// verifies serial/parallel agreement and JSON emission, and — when the CI
-// machine has > 1 core — fatally asserts that steals actually fire on the
-// power-law config (a scheduler that never steals is PR 4 with overhead).
+// verifies serial/parallel agreement (full and capped) and JSON emission,
+// and — when the CI machine has > 1 core — fatally asserts that steals
+// actually fire on the power-law config (a scheduler that never steals is
+// static root chunking with overhead).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -77,12 +86,108 @@ struct SchedStats {
   uint64_t max_worker_work = 0;
 };
 
-struct CaseResult {
+/// One timed configuration (a match_limit) over a case's query set: the
+/// serial baseline and each thread count's parallel time.
+struct LegResult {
   double serial_us = 0.0;
   std::vector<std::pair<uint32_t, double>> parallel_us;  // (threads, us)
   std::vector<std::pair<uint32_t, SchedStats>> sched;    // (threads, stats)
+};
+
+struct CaseResult {
+  LegResult full;  // match_limit = 0
+  /// Capped leg (power-law only; match_cap == 0 when not run): a
+  /// match_limit that fires, so every emission goes through the budget's
+  /// claim leases.
+  uint64_t match_cap = 0;
+  LegResult capped;
   EnumerateResult accumulated;  // serial work counters over the query set
 };
+
+/// Times serial Run and RunParallel at {1, 2, 4} threads under
+/// `match_limit`. Every run's match count must equal `expected[i]` — the
+/// full count, or min(full count, cap) for a capped leg — or the bench
+/// exits fatally: serial and parallel must agree whatever the thread count.
+LegResult TimeLeg(const WorkloadCase& c, const Graph& data,
+                  const std::vector<PreparedQuery>& queries,
+                  uint64_t match_limit, const std::vector<uint64_t>& expected) {
+  EnumerateOptions eopts;
+  eopts.match_limit = match_limit;
+  const char* leg = match_limit == 0 ? "full" : "capped";
+  auto check = [&](const char* path, uint32_t threads, size_t i,
+                   uint64_t got) {
+    if (got == expected[i]) return;
+    std::fprintf(stderr,
+                 "FATAL: %s count mismatch (%s %s, %u threads, query %zu: "
+                 "%llu vs expected %llu)\n",
+                 path, c.name.c_str(), leg, threads, i,
+                 static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(expected[i]));
+    std::exit(1);
+  };
+
+  Enumerator enumerator;
+  EnumeratorWorkspace serial_ws;
+  LegResult out;
+  auto run_serial = [&] {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const PreparedQuery& pq = queries[i];
+      auto r = MustOk(enumerator.Run(pq.query, data, pq.candidates, pq.order,
+                                     eopts, &serial_ws),
+                      "serial enumerate");
+      check("serial", 0, i, r.num_matches);
+      KeepAlive(&r);
+    }
+  };
+  run_serial();  // warm-up
+  Stopwatch calib;
+  run_serial();
+  const double once = std::max(1e-6, calib.ElapsedSeconds());
+  const int reps = std::clamp(static_cast<int>(0.5 / once), 1, 200);
+
+  Stopwatch sw;
+  for (int r = 0; r < reps; ++r) run_serial();
+  out.serial_us = sw.ElapsedSeconds() / (reps * queries.size()) * 1e6;
+
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<EnumeratorWorkspace> workspaces(pool.size());
+    EnumeratorWorkspace caller_ws;
+    EnumerateOptions popts = eopts;
+    popts.parallel_threads = threads;
+    ParallelEnumResources resources;
+    resources.pool = &pool;
+    resources.worker_workspaces = &workspaces;
+    resources.caller_workspace = &caller_ws;
+
+    SchedStats sched;
+    auto run_parallel = [&] {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const PreparedQuery& pq = queries[i];
+        auto r = MustOk(
+            enumerator.RunParallel(pq.query, data, pq.candidates, pq.order,
+                                   popts, resources),
+            "parallel enumerate");
+        sched.steals += r.num_steals;
+        sched.splits += r.num_splits;
+        sched.max_segment_depth =
+            std::max<uint64_t>(sched.max_segment_depth, r.max_segment_depth);
+        sched.min_worker_work =
+            std::max(sched.min_worker_work, r.min_worker_work);
+        sched.max_worker_work =
+            std::max(sched.max_worker_work, r.max_worker_work);
+        check("parallel", threads, i, r.num_matches);
+      }
+    };
+    run_parallel();  // warm-up: grows per-worker workspaces + checks counts
+    Stopwatch pw;
+    for (int r = 0; r < reps; ++r) run_parallel();
+    out.parallel_us.emplace_back(
+        threads, pw.ElapsedSeconds() / (reps * queries.size()) * 1e6);
+    out.sched.emplace_back(threads, sched);
+  }
+  return out;
+}
 
 CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
                    bool smoke) {
@@ -118,22 +223,20 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     queries.push_back(std::move(pq));
   }
 
-  // Full enumeration: serial and parallel do the exact same work, so the
-  // timing ratio is a true speedup and match counts must agree exactly.
-  EnumerateOptions eopts;
-  eopts.match_limit = 0;
-
+  // One serial full enumeration per query records the expected counts and
+  // the work counters. In the full leg serial and parallel do the exact
+  // same work, so the timing ratio is a true speedup and match counts must
+  // agree exactly.
+  EnumerateOptions full;
+  full.match_limit = 0;
   Enumerator enumerator;
   EnumeratorWorkspace serial_ws;
   CaseResult out;
-
-  // Serial baseline (warm-up run also records the expected counts and the
-  // work counters).
   std::vector<uint64_t> expected(num_queries);
   for (uint32_t i = 0; i < num_queries; ++i) {
     const PreparedQuery& pq = queries[i];
     auto r = MustOk(enumerator.Run(pq.query, data, pq.candidates, pq.order,
-                                   eopts, &serial_ws),
+                                   full, &serial_ws),
                     "serial enumerate");
     expected[i] = r.num_matches;
     out.accumulated.num_intersections += r.num_intersections;
@@ -143,69 +246,21 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     out.accumulated.num_simd_intersections += r.num_simd_intersections;
     out.accumulated.num_bitmap_intersections += r.num_bitmap_intersections;
   }
+  out.full = TimeLeg(c, data, queries, 0, expected);
 
-  auto run_serial = [&] {
-    for (const PreparedQuery& pq : queries) {
-      auto r = MustOk(enumerator.Run(pq.query, data, pq.candidates, pq.order,
-                                     eopts, &serial_ws),
-                      "serial enumerate");
-      KeepAlive(&r);
+  if (c.power_law) {
+    // The paper's evaluation setting: a per-query cap (Sec IV-A). A quarter
+    // of the heaviest query's count fires on that query at least, so the
+    // leg times the budget's claim path at its busiest (nearly every call
+    // an emission) rather than the unlimited bypass.
+    const uint64_t heaviest = *std::max_element(expected.begin(),
+                                                expected.end());
+    out.match_cap = std::max<uint64_t>(1, heaviest / 4);
+    std::vector<uint64_t> capped_expected(num_queries);
+    for (uint32_t i = 0; i < num_queries; ++i) {
+      capped_expected[i] = std::min(expected[i], out.match_cap);
     }
-  };
-  Stopwatch calib;
-  run_serial();
-  const double once = std::max(1e-6, calib.ElapsedSeconds());
-  const int reps = std::clamp(static_cast<int>(0.5 / once), 1, 200);
-
-  Stopwatch sw;
-  for (int r = 0; r < reps; ++r) run_serial();
-  out.serial_us = sw.ElapsedSeconds() / (reps * num_queries) * 1e6;
-
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<EnumeratorWorkspace> workspaces(pool.size());
-    EnumeratorWorkspace caller_ws;
-    EnumerateOptions popts = eopts;
-    popts.parallel_threads = threads;
-    ParallelEnumResources resources;
-    resources.pool = &pool;
-    resources.worker_workspaces = &workspaces;
-    resources.caller_workspace = &caller_ws;
-
-    SchedStats sched;
-    auto run_parallel = [&] {
-      for (uint32_t i = 0; i < num_queries; ++i) {
-        const PreparedQuery& pq = queries[i];
-        auto r = MustOk(
-            enumerator.RunParallel(pq.query, data, pq.candidates, pq.order,
-                                   popts, resources),
-            "parallel enumerate");
-        sched.steals += r.num_steals;
-        sched.splits += r.num_splits;
-        sched.max_segment_depth =
-            std::max<uint64_t>(sched.max_segment_depth, r.max_segment_depth);
-        sched.min_worker_work =
-            std::max(sched.min_worker_work, r.min_worker_work);
-        sched.max_worker_work =
-            std::max(sched.max_worker_work, r.max_worker_work);
-        if (r.num_matches != expected[i]) {
-          std::fprintf(
-              stderr,
-              "FATAL: serial/parallel mismatch (%s, %u threads, query %u: "
-              "%llu vs %llu)\n",
-              c.name.c_str(), threads, i,
-              static_cast<unsigned long long>(r.num_matches),
-              static_cast<unsigned long long>(expected[i]));
-          std::exit(1);
-        }
-      }
-    };
-    run_parallel();  // warm-up: grows per-worker workspaces + checks counts
-    Stopwatch pw;
-    for (int r = 0; r < reps; ++r) run_parallel();
-    out.parallel_us.emplace_back(
-        threads, pw.ElapsedSeconds() / (reps * num_queries) * 1e6);
-    out.sched.emplace_back(threads, sched);
+    out.capped = TimeLeg(c, data, queries, out.match_cap, capped_expected);
   }
   return out;
 }
@@ -235,29 +290,41 @@ int main(int argc, char** argv) {
   double heavy_speedup_4t = 0.0;
   uint64_t powerlaw_multithread_steals = 0;
   std::printf("\n-- enumeration time per query (us) --\n");
-  std::printf("%10s %12s %10s %10s %10s %9s %9s %9s\n", "case", "serial",
+  std::printf("%16s %12s %10s %10s %10s %9s %9s %9s\n", "case", "serial",
               "1t", "2t", "4t", "sp(1t)", "sp(2t)", "sp(4t)");
+  // One table row per timed leg; `prefix` namespaces the capped leg's
+  // metrics (e.g. capped_speedup_4t_powerlaw). Returns the 4t speedup.
+  auto report_leg = [&](const std::string& row, const std::string& prefix,
+                        const std::string& name, const LegResult& leg) {
+    metrics.emplace_back(prefix + "serial_us_" + name, leg.serial_us);
+    double us[3] = {0, 0, 0};
+    for (size_t i = 0; i < leg.parallel_us.size(); ++i) {
+      const auto& [threads, t_us] = leg.parallel_us[i];
+      us[i] = t_us;
+      metrics.emplace_back(
+          prefix + "par" + std::to_string(threads) + "t_us_" + name, t_us);
+      metrics.emplace_back(
+          prefix + "speedup_" + std::to_string(threads) + "t_" + name,
+          t_us > 0 ? leg.serial_us / t_us : 0.0);
+    }
+    std::printf("%16s %12.1f %10.1f %10.1f %10.1f %8.2fx %8.2fx %8.2fx\n",
+                row.c_str(), leg.serial_us, us[0], us[1], us[2],
+                leg.serial_us / us[0], leg.serial_us / us[1],
+                leg.serial_us / us[2]);
+    return leg.serial_us / us[2];
+  };
   std::vector<std::pair<std::string, CaseResult>> results;
   for (const WorkloadCase& c : cases) {
     CaseResult r = RunCase(c, opts, smoke);
-    metrics.emplace_back("serial_us_" + c.name, r.serial_us);
-    double us[3] = {0, 0, 0};
-    for (size_t i = 0; i < r.parallel_us.size(); ++i) {
-      const auto& [threads, t_us] = r.parallel_us[i];
-      us[i] = t_us;
-      metrics.emplace_back(
-          "par" + std::to_string(threads) + "t_us_" + c.name, t_us);
-      metrics.emplace_back(
-          "speedup_" + std::to_string(threads) + "t_" + c.name,
-          t_us > 0 ? r.serial_us / t_us : 0.0);
+    const double speedup_4t = report_leg(c.name, "", c.name, r.full);
+    if (r.match_cap != 0) {
+      metrics.emplace_back("match_cap_" + c.name,
+                           static_cast<double>(r.match_cap));
+      report_leg(c.name + "-capped", "capped_", c.name, r.capped);
     }
-    std::printf("%10s %12.1f %10.1f %10.1f %10.1f %8.2fx %8.2fx %8.2fx\n",
-                c.name.c_str(), r.serial_us, us[0], us[1], us[2],
-                r.serial_us / us[0], r.serial_us / us[1],
-                r.serial_us / us[2]);
     // Per-thread-count scheduler diagnostics (summed over all timed runs).
     const SchedStats* widest = nullptr;
-    for (const auto& [threads, s] : r.sched) {
+    for (const auto& [threads, s] : r.full.sched) {
       const std::string t = std::to_string(threads) + "t_" + c.name;
       metrics.emplace_back("steals_" + t, static_cast<double>(s.steals));
       metrics.emplace_back("splits_" + t, static_cast<double>(s.splits));
@@ -278,7 +345,7 @@ int main(int argc, char** argv) {
                           widest ? widest->max_segment_depth : 0,
                           widest ? widest->min_worker_work : 0,
                           widest ? widest->max_worker_work : 0);
-    if (c.name == "powerlaw") heavy_speedup_4t = r.serial_us / us[2];
+    if (c.name == "powerlaw") heavy_speedup_4t = speedup_4t;
     results.emplace_back(c.name, std::move(r));
   }
 
@@ -286,7 +353,7 @@ int main(int argc, char** argv) {
   std::printf("%10s %7s %12s %12s %10s\n", "case", "threads", "steals",
               "splits", "max_depth");
   for (const auto& [name, r] : results) {
-    for (const auto& [threads, s] : r.sched) {
+    for (const auto& [threads, s] : r.full.sched) {
       std::printf("%10s %7u %12llu %12llu %10llu\n", name.c_str(), threads,
                   static_cast<unsigned long long>(s.steals),
                   static_cast<unsigned long long>(s.splits),

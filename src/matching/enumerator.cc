@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/padded_atomic.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "graph/graph_algorithms.h"
@@ -120,12 +121,8 @@ class SegmentScheduler {
         deques_(num_slots),
         worker_work_(num_slots, 0),
         worker_participated_(num_slots, false),
-        own_queued_(new std::atomic<uint32_t>[num_slots]),
-        unclaimed_slots_(static_cast<uint32_t>(num_slots)) {
-    for (size_t s = 0; s < num_slots; ++s) {
-      own_queued_[s].store(0, std::memory_order_relaxed);
-    }
-  }
+        own_queued_(std::make_unique<PaddedAtomic<uint32_t>[]>(num_slots)),
+        unclaimed_slots_(static_cast<uint32_t>(num_slots)) {}
 
   /// Assigns the calling worker loop its slot. Each of the run's
   /// num_slots loop tasks claims exactly one.
@@ -170,7 +167,7 @@ class SegmentScheduler {
           if (!deques_[slot].empty()) {
             FrontierSegment* seg = deques_[slot].back();
             deques_[slot].pop_back();
-            own_queued_[slot].store(
+            own_queued_[slot].value.store(
                 static_cast<uint32_t>(deques_[slot].size()),
                 std::memory_order_relaxed);
             --queued_;
@@ -214,8 +211,9 @@ class SegmentScheduler {
           if (deques_[d].empty()) continue;
           FrontierSegment* seg = deques_[d].back();
           deques_[d].pop_back();
-          own_queued_[d].store(static_cast<uint32_t>(deques_[d].size()),
-                               std::memory_order_relaxed);
+          own_queued_[d].value.store(
+              static_cast<uint32_t>(deques_[d].size()),
+              std::memory_order_relaxed);
           --queued_;
           ++executing_;
           return resolve(seg);
@@ -240,7 +238,7 @@ class SegmentScheduler {
         if (victim < 0) continue;  // raced with another thief; re-wait
         FrontierSegment* seg = deques_[victim].front();
         deques_[victim].pop_front();
-        own_queued_[victim].store(
+        own_queued_[victim].value.store(
             static_cast<uint32_t>(deques_[victim].size()),
             std::memory_order_relaxed);
         --queued_;
@@ -266,7 +264,9 @@ class SegmentScheduler {
   /// missed or one useless split, never correctness. A worker with queued
   /// segments of its own never splits — thieves can take those directly.
   bool ShouldSplit(int slot) const {
-    if (own_queued_[slot].load(std::memory_order_relaxed) != 0) return false;
+    if (own_queued_[slot].value.load(std::memory_order_relaxed) != 0) {
+      return false;
+    }
     if (budget_->HasHungryWorkers()) return true;
     // Startup window: loop tasks still queued on the pool have claimed no
     // slot yet, but an idle pool worker will start one as soon as work
@@ -322,8 +322,9 @@ class SegmentScheduler {
     FrontierSegment* raw = seg.get();
     all_.push_back(std::move(seg));
     deques_[slot].push_back(raw);
-    own_queued_[slot].store(static_cast<uint32_t>(deques_[slot].size()),
-                            std::memory_order_relaxed);
+    own_queued_[slot].value.store(
+        static_cast<uint32_t>(deques_[slot].size()),
+        std::memory_order_relaxed);
     ++queued_;
   }
 
@@ -349,7 +350,9 @@ class SegmentScheduler {
   std::vector<bool> worker_participated_ GUARDED_BY(mu_);
 
   // Advisory hints, read lock-free by ShouldSplit (see class comment).
-  std::unique_ptr<std::atomic<uint32_t>[]> own_queued_;
+  // One padded line per slot: each owner writes its own entry while every
+  // worker reads them, so adjacent entries would false-share.
+  std::unique_ptr<PaddedAtomic<uint32_t>[]> own_queued_;
   std::atomic<uint32_t> next_slot_{0};
   std::atomic<uint32_t> unclaimed_slots_;
 };
@@ -511,11 +514,18 @@ struct EnumContext {
     }
   }
 
+  /// This worker's lease in the shared budget: its scheduler slot, or the
+  /// single slot of the serial run.
+  size_t LeaseSlot() const {
+    if constexpr (kStealable) return static_cast<size_t>(slot);
+    return 0;
+  }
+
   void EmitMatch() {
-    if (!budget->TryClaimMatch()) {
+    if (!budget->TryClaimMatch(LeaseSlot())) {
       // Global match budget exhausted. Serially this cannot happen (the
-      // claim that reaches the limit stops the run below); in parallel,
-      // another segment claimed the final slot first. Either way this
+      // claim that spends the last slot stops the run below); in parallel,
+      // another worker claimed the final slot first. Either way this
       // match is not emitted, so the total stays exactly at the limit.
       stopped = true;
       return;
@@ -541,8 +551,11 @@ struct EnumContext {
         result.embeddings.push_back(ws->mapping());
       }
     }
-    if (budget->LimitReached()) {
+    // One load of the worker's own lease line unless that lease just ran
+    // dry; only then scan the pool and sibling leases.
+    if (budget->LimitReachedAfterClaim(LeaseSlot())) {
       result.hit_match_limit = true;
+      budget->RequestStop();
       stopped = true;
     }
   }
@@ -859,9 +872,10 @@ Result<EnumerateResult> Enumerator::Run(const Graph& query, const Graph& data,
 
   RLQVO_RETURN_NOT_OK(workspace->Prepare(query, data, candidates, order));
 
-  // The serial path runs on the same budget machinery as the parallel one:
-  // emission claims are what make match_limit exact (see EnumBudget), and
-  // with match_limit == 0 the claim path never touches the atomic.
+  // The serial path runs on the same budget machinery as the parallel one
+  // (the one-slot case, lease kept inline): emission claims are what make
+  // match_limit exact (see EnumBudget), and with match_limit == 0 the
+  // claim path never touches an atomic.
   EnumBudget budget(options.match_limit, deadline);
   EnumContext<false> ctx(query, data, candidates, order, options, workspace,
                          &budget);
@@ -910,7 +924,8 @@ Result<EnumerateResult> Enumerator::RunParallel(
   const std::vector<VertexId>& roots = candidates.candidates(order[0]);
   const uint32_t num_workers = options.parallel_threads;
 
-  EnumBudget budget(options.match_limit, deadline);
+  // One claim lease per worker slot (EnumContext<true>::LeaseSlot).
+  EnumBudget budget(options.match_limit, deadline, num_workers);
   const uint64_t run_token =
       g_parallel_run_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 

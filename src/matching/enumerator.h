@@ -17,9 +17,14 @@ struct EnumerateOptions {
   /// Stop after this many embeddings. The paper caps evaluation at 1e5
   /// matches (Sec IV-A). 0 means unlimited ("ALL" in Fig 11) — the run
   /// exhausts the search space and EnumerateResult::hit_match_limit stays
-  /// false. A finite limit is exact: emission claims slots from a global
-  /// EnumBudget, so num_matches == min(available, match_limit) in both the
-  /// serial and the parallel path, never limit+1 and never limit-per-chunk.
+  /// false. A finite limit is exact: every emission claims a slot from the
+  /// query's one EnumBudget — out of the claiming worker's own lease,
+  /// refilled in shrinking chunks from a global pool and revocable by
+  /// sibling workers once the pool is empty — so num_matches ==
+  /// min(available, match_limit) in both the serial and the parallel path,
+  /// never limit+1, never limit-per-worker, never short by a lease
+  /// stranded on an idle worker. The serial run stops on the emission that
+  /// claims the last slot, as with a single global counter.
   uint64_t match_limit = 100000;
   /// Time limit in seconds; 0 = unlimited. Enumerator::Run bounds the
   /// enumeration (including its per-query workspace setup) with this;
@@ -222,11 +227,11 @@ class Enumerator {
   /// num_steals, num_splits, max_segment_depth, per-worker min/max — are
   /// schedule descriptions and excluded from that contract.) When a finite
   /// match_limit fires, the run still emits *exactly* match_limit matches
-  /// (the budget claim is atomic and capped), but which valid embeddings
-  /// fill the quota depends on the schedule — same count, possibly
-  /// different members than serial. Deadline cuts are timing-dependent in
-  /// serial mode already; the parallel path keeps that (weaker) semantics
-  /// and reports timed_out if any segment was cut.
+  /// (every slot is claimed exactly once, see EnumBudget), but which valid
+  /// embeddings fill the quota depends on the schedule — same count,
+  /// possibly different members than serial. Deadline cuts are
+  /// timing-dependent in serial mode already; the parallel path keeps that
+  /// (weaker) semantics and reports timed_out if any segment was cut.
   ///
   /// Falls back to the serial Run (on resources.caller_workspace) when
   /// resources.pool is null or options.parallel_threads == 0.

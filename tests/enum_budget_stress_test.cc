@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,25 +34,34 @@ void RunThreads(int n, const std::function<void(int)>& fn) {
 
 // The core exactness property: with T threads hammering a limit of L,
 // exactly L claims succeed — never L+1 from a CAS race, never fewer from a
-// lost update — regardless of how the attempts interleave.
+// lost update — regardless of how the attempts interleave. With one slot
+// all threads share one lease; with 4 slots (two threads per slot) claims
+// mostly come out of per-slot leases and the tail revokes across slots.
 TEST(EnumBudgetStressTest, ContendedClaimsMatchLimitExactly) {
   const Deadline deadline = Deadline::Unlimited();
-  for (const uint64_t limit : {1u, 7u, 100u, 1000u}) {
-    EnumBudget budget(limit, &deadline);
-    std::atomic<uint64_t> granted{0};
-    RunThreads(kThreads, [&](int) {
-      // Each thread attempts far more claims than the whole limit, so
-      // exhaustion is certain and contention spans the full run.
-      for (uint64_t i = 0; i < 2 * limit + 64; ++i) {
-        if (budget.TryClaimMatch()) granted.fetch_add(1);
+  for (const size_t slots : {size_t{1}, size_t{4}}) {
+    for (const uint64_t limit : {1u, 7u, 100u, 1000u}) {
+      SCOPED_TRACE("slots=" + std::to_string(slots) +
+                   " limit=" + std::to_string(limit));
+      EnumBudget budget(limit, &deadline, slots);
+      std::atomic<uint64_t> granted{0};
+      RunThreads(kThreads, [&](int t) {
+        const size_t slot = static_cast<size_t>(t) % slots;
+        // Each thread attempts far more claims than the whole limit, so
+        // exhaustion is certain and contention spans the full run.
+        for (uint64_t i = 0; i < 2 * limit + 64; ++i) {
+          if (budget.TryClaimMatch(slot)) granted.fetch_add(1);
+        }
+      });
+      EXPECT_EQ(granted.load(), limit);
+      EXPECT_TRUE(budget.LimitReached());
+      // Exhaustion must have raised the stop broadcast for sibling chunks.
+      EXPECT_TRUE(budget.StopRequested());
+      // The budget stays exhausted: later claims keep failing.
+      for (size_t slot = 0; slot < slots; ++slot) {
+        EXPECT_FALSE(budget.TryClaimMatch(slot));
       }
-    });
-    EXPECT_EQ(granted.load(), limit) << "limit=" << limit;
-    EXPECT_TRUE(budget.LimitReached());
-    // Exhaustion must have raised the stop broadcast for sibling chunks.
-    EXPECT_TRUE(budget.StopRequested());
-    // The budget stays exhausted: later claims keep failing.
-    EXPECT_FALSE(budget.TryClaimMatch());
+    }
   }
 }
 
@@ -161,6 +171,101 @@ TEST(EnumBudgetStressTest, FreshBudgetsStartCleanAcrossRounds) {
       }
     });
     EXPECT_EQ(granted.load(), limit);
+  }
+}
+
+// A worker that refilled its lease and then went quiet (its segment found
+// no more matches) must not strand those slots: once the pool is empty the
+// other slots revoke them one by one, so they are still granted exactly
+// limit - 1, and the limit reads as reached only when the last stranded
+// slot is gone.
+TEST(EnumBudgetStressTest, StrandedLeaseIsRevokedBySiblings) {
+  const Deadline deadline = Deadline::Unlimited();
+  constexpr size_t kSlots = 4;
+  for (const uint64_t limit : {2u, 100u, 1000u, 50000u}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    // Deterministic half: one sibling thread drains everything but the
+    // last stranded slot, then takes it.
+    {
+      EnumBudget budget(limit, &deadline, kSlots);
+      ASSERT_TRUE(budget.TryClaimMatch(0));  // slot 0 leases a chunk
+      for (uint64_t i = 0; i + 2 < limit; ++i) {
+        ASSERT_TRUE(budget.TryClaimMatch(1)) << "claim " << i;
+      }
+      EXPECT_FALSE(budget.LimitReached());
+      EXPECT_FALSE(budget.StopRequested());
+      EXPECT_TRUE(budget.TryClaimMatch(2));  // the last stranded slot
+      EXPECT_TRUE(budget.LimitReached());
+      EXPECT_FALSE(budget.TryClaimMatch(3));
+      EXPECT_FALSE(budget.TryClaimMatch(0));
+    }
+    // Contended half: slot 0 stays silent after its one claim while the
+    // other slots' threads race for the rest.
+    {
+      EnumBudget budget(limit, &deadline, kSlots);
+      ASSERT_TRUE(budget.TryClaimMatch(0));
+      std::atomic<uint64_t> granted{0};
+      RunThreads(kThreads, [&](int t) {
+        const size_t slot = 1 + static_cast<size_t>(t) % (kSlots - 1);
+        while (budget.TryClaimMatch(slot)) granted.fetch_add(1);
+      });
+      EXPECT_EQ(granted.load(), limit - 1);
+      EXPECT_TRUE(budget.LimitReached());
+      EXPECT_FALSE(budget.TryClaimMatch(0));
+    }
+  }
+}
+
+// Eight threads on one slot of a 4-slot budget: the owner-side decrement
+// and refill are CASes too, so a slot shared by many threads (one of them
+// holding the refill mark while the others take single slots from the
+// pool) stays exact while the other leases never fill.
+TEST(EnumBudgetStressTest, SharedSlotClaimsMatchLimitExactly) {
+  const Deadline deadline = Deadline::Unlimited();
+  for (const uint64_t limit : {1u, 7u, 1000u, 100000u}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    EnumBudget budget(limit, &deadline, 4);
+    std::atomic<uint64_t> granted{0};
+    RunThreads(kThreads, [&](int) {
+      while (budget.TryClaimMatch(3)) granted.fetch_add(1);
+    });
+    EXPECT_EQ(granted.load(), limit);
+    EXPECT_TRUE(budget.LimitReached());
+  }
+}
+
+// Limits smaller than the slot count: every chunk is a single slot and
+// most slots never hold a lease, yet exactly `limit` claims succeed.
+TEST(EnumBudgetStressTest, TinyLimitsAcrossSlotsAreExact) {
+  const Deadline deadline = Deadline::Unlimited();
+  constexpr size_t kSlots = 4;
+  for (int round = 0; round < 50; ++round) {
+    for (const uint64_t limit : {1u, 2u, 3u}) {
+      EnumBudget budget(limit, &deadline, kSlots);
+      std::atomic<uint64_t> granted{0};
+      RunThreads(kThreads, [&](int t) {
+        const size_t slot = static_cast<size_t>(t) % kSlots;
+        while (budget.TryClaimMatch(slot)) granted.fetch_add(1);
+      });
+      EXPECT_EQ(granted.load(), limit) << "limit=" << limit;
+      EXPECT_TRUE(budget.LimitReached());
+    }
+  }
+}
+
+// The post-emission check: true exactly on the claim that spends the last
+// slot in the one-slot (serial) case, so the serial run stops on that
+// emission just as a single global counter would.
+TEST(EnumBudgetStressTest, SerialLimitReachedOnTheLastClaim) {
+  const Deadline deadline = Deadline::Unlimited();
+  for (const uint64_t limit : {1u, 3u, 4u, 5u, 1023u, 4096u, 100000u}) {
+    EnumBudget budget(limit, &deadline);
+    for (uint64_t i = 1; i <= limit; ++i) {
+      ASSERT_TRUE(budget.TryClaimMatch(0));
+      ASSERT_EQ(budget.LimitReachedAfterClaim(0), i == limit)
+          << "limit=" << limit << " claim=" << i;
+    }
+    EXPECT_FALSE(budget.TryClaimMatch(0));
   }
 }
 

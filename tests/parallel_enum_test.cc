@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -334,6 +335,57 @@ TEST(ParallelEnumTest, ExactLimitCountsSerialAndParallel) {
       ExpectBitIdentical(serial, parallel, 4);
     }
   }
+}
+
+// Exact limits at the claim-lease boundaries (see EnumBudget): a single
+// slot, one slot fewer than there are workers (leases so small most
+// workers never hold one), and total - 1 / total / total + 1 (the pool
+// drains while leases are still stranded on workers, the last slot is the
+// last available match, and a cap that never fires). The steal failpoint
+// in delay mode skews which worker holds which lease when the pool runs
+// dry. Every capped run must emit exactly min(total, limit) distinct valid
+// embeddings and report hit_match_limit iff limit <= total; the
+// untruncated run must stay bit-identical to serial.
+TEST(ParallelEnumTest, ExactLimitAtLeaseBoundariesUnderSkewedSteals) {
+  Graph data = MakeData(43, 120, 6.0, 2, 0.0);
+  PreparedQuery pq = PrepareQuery(data, 44, 5);
+  EnumerateOptions unlimited;
+  unlimited.match_limit = 0;
+  const uint64_t total = RunSerial(data, pq, unlimited).num_matches;
+  ASSERT_GT(total, 100u) << "workload too small to exercise limits";
+
+  ASSERT_TRUE(failpoint::Activate("enumerate.steal", "delay:1").ok());
+  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    std::vector<EnumeratorWorkspace> workspaces(pool.size());
+    EnumeratorWorkspace caller_ws;
+    std::vector<uint64_t> limits = {1, total - 1, total, total + 1};
+    if (threads > 1) limits.push_back(threads - 1);  // 0 would be unlimited
+    for (uint64_t limit : limits) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " limit=" + std::to_string(limit));
+      const uint64_t expected = std::min(total, limit);
+      EnumerateOptions opts;
+      opts.match_limit = limit;
+      opts.store_embeddings = true;
+      const EnumerateResult parallel = RunParallelWith(
+          data, pq, opts, threads, &pool, &workspaces, &caller_ws);
+      EXPECT_EQ(parallel.num_matches, expected);
+      EXPECT_EQ(parallel.hit_match_limit, limit <= total);
+      EXPECT_FALSE(parallel.timed_out);
+      ASSERT_EQ(parallel.embeddings.size(), expected);
+      std::set<std::vector<VertexId>> distinct(parallel.embeddings.begin(),
+                                               parallel.embeddings.end());
+      EXPECT_EQ(distinct.size(), expected);  // no duplicate emissions
+      for (const auto& embedding : parallel.embeddings) {
+        ASSERT_TRUE(IsIsomorphism(pq.query, data, embedding));
+      }
+      if (limit > total) {
+        ExpectBitIdentical(RunSerial(data, pq, opts), parallel, threads);
+      }
+    }
+  }
+  failpoint::DeactivateAll();
 }
 
 TEST(ParallelEnumTest, UnlimitedMeansZeroAndNeverReportsLimit) {
