@@ -1,6 +1,7 @@
 // Enumeration setup cost: the seed enumerator's per-query O(nq·|V(G)|)
 // bitmap (allocate + memset + fill) vs the reusable EnumeratorWorkspace's
-// epoch-stamped Prepare, across data-graph scales.
+// Prepare (clear the last query's mask words, set this query's bits),
+// across data-graph scales.
 //
 // For each graph size the harness times
 //   - "seed bitmap": a faithful re-implementation of the seed setup — a
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   double min_speedup = 1e300;
 
   std::printf("%10s %6s %14s %14s %9s %10s\n", "|V(G)|", "mode",
-              "seed setup/q", "ws setup/q", "speedup", "stamp MiB");
+              "seed setup/q", "ws setup/q", "speedup", "mask MiB");
   for (uint32_t base : base_sizes) {
     const uint32_t n =
         std::max(4096u, static_cast<uint32_t>(base * opts.scale));
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
 
     EnumeratorWorkspace ws;
     RLQVO_CHECK(ws.Prepare(query, data, cs, order).ok());  // warm-up growth
-    const uint64_t grows_before = ws.stats().stamp_grows;
+    const uint64_t grows_before = ws.stats().mask_grows;
     Stopwatch ws_watch;
     for (int r = 0; r < reps; ++r) {
       RLQVO_CHECK(ws.Prepare(query, data, cs, order).ok());
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
     }
     const double ws_per_query = ws_watch.ElapsedSeconds() / reps;
     // Steady state must be allocation-free: the warmed buffers never grow.
-    if (ws.stats().stamp_grows != grows_before) {
+    if (ws.stats().mask_grows != grows_before) {
       std::fprintf(stderr, "FATAL: workspace grew during steady state\n");
       return 1;
     }
@@ -139,14 +140,14 @@ int main(int argc, char** argv) {
 
     const double speedup = seed_per_query / ws_per_query;
     min_speedup = std::min(min_speedup, speedup);
-    const double stamp_mib =
-        static_cast<double>(ws.stats().stamp_bytes) / (1024.0 * 1024.0);
+    const double mask_mib =
+        static_cast<double>(ws.stats().mask_bytes) / (1024.0 * 1024.0);
     const double fill =
         static_cast<double>(cs.TotalSize()) /
         (static_cast<double>(query.num_vertices()) * n);
     std::printf("%10u %6s %12.1f us %12.1f us %8.1fx %10.2f  (fill %.2f%%)\n",
-                n, ws.stats().last_dense ? "dense" : "sparse",
-                seed_per_query * 1e6, ws_per_query * 1e6, speedup, stamp_mib,
+                n, ws.stats().last_mask ? "mask" : "bsearch",
+                seed_per_query * 1e6, ws_per_query * 1e6, speedup, mask_mib,
                 fill * 100.0);
 
     // Spelled as append rather than `"n" + std::to_string(n)`: the
@@ -157,9 +158,8 @@ int main(int argc, char** argv) {
     metrics.emplace_back("seed_setup_us_" + key, seed_per_query * 1e6);
     metrics.emplace_back("ws_setup_us_" + key, ws_per_query * 1e6);
     metrics.emplace_back("setup_speedup_" + key, speedup);
-    metrics.emplace_back("ws_dense_" + key,
-                         ws.stats().last_dense ? 1.0 : 0.0);
-    metrics.emplace_back("ws_stamp_mib_" + key, stamp_mib);
+    metrics.emplace_back("ws_mask_" + key, ws.stats().last_mask ? 1.0 : 0.0);
+    metrics.emplace_back("ws_mask_mib_" + key, mask_mib);
     metrics.emplace_back("candidate_fill_" + key, fill);
   }
 

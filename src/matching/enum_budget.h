@@ -22,17 +22,19 @@ namespace rlqvo {
 /// at 1e5 matches and 500 s total (Sec IV-A), not each segment. An
 /// EnumBudget is the single object those limits live in:
 ///
-/// - **Match budget: per-worker claim leases.** Every emission first claims
-///   a slot via TryClaimMatch(slot), where `slot` is the claiming worker's
-///   index in [0, num_slots). The `match_limit` slots start in a global
-///   *pool*; each worker slot owns a cache-line-padded *lease* of slots
-///   moved out of the pool in chunks. A claim decrements the worker's own
-///   lease — an uncontended line that stays in that core's cache. An empty
-///   lease refills with one CAS on the pool, taking about
-///   remaining / (4 * num_slots) slots clamped to [1, kMaxLeaseChunk], so
-///   chunks shrink toward 1 as the cap nears. Once the pool is empty, a
-///   worker revokes single slots from sibling leases by CAS, so a lease
-///   stranded on a worker that went quiet is never lost. A claim fails only
+/// - **Match budget: per-worker claim leases.** Before emitting, a worker
+///   claims slots via TryClaimMatches(slot, n) — one call per leaf scan,
+///   for all `n` embeddings that scan found — where `slot` is the claiming
+///   worker's index in [0, num_slots). The `match_limit` slots start in a
+///   global *pool*; each worker slot owns a cache-line-padded *lease* of
+///   slots moved out of the pool in chunks. A claim takes from the worker's
+///   own lease — an uncontended line that stays in that core's cache. A
+///   lease that cannot cover the claim refills with one CAS on the pool,
+///   taking the claim's shortfall or about remaining / (4 * num_slots)
+///   slots clamped to [1, kMaxLeaseChunk], whichever is larger, so chunks
+///   shrink toward 1 as the cap nears. Once the pool is empty, a worker
+///   revokes slots from sibling leases by CAS, so a lease stranded on a
+///   worker that went quiet is never lost. A claim is short of `n` only
 ///   when the pool is empty and every lease reads 0. The total number of
 ///   emitted matches across all workers is therefore *exactly*
 ///   min(available, match_limit) — never limit-per-worker, never limit+1
@@ -49,12 +51,13 @@ namespace rlqvo {
 ///   their own quantum rediscovering the deadline.
 ///
 /// `match_limit == 0` means unlimited (the paper's "ALL" setting, Fig 11):
-/// TryClaimMatch always succeeds and LimitReached is always false.
+/// TryClaimMatches grants every slot asked for and LimitReached is always
+/// false.
 ///
 /// **Why the cap stays exact.** Slots only ever move pool -> lease -> claim,
-/// each move one atomic RMW, so at most match_limit claims succeed. For the
-/// other direction — a claim never fails while a slot is left — two facts
-/// suffice. (1) Once the pool reads 0 it never refills. (2) A lease can
+/// each move one atomic RMW, so at most match_limit slots are granted. For
+/// the other direction — a claim is never short while a slot is left — two
+/// facts suffice. (1) Once the pool reads 0 it never refills. (2) A lease can
 /// only *grow* through a refill, and a refiller marks its lease
 /// kRefilling before its pool CAS and replaces the mark with the deposited
 /// count after it; the pool CAS is a release and exhaustion scans load the
@@ -64,8 +67,10 @@ namespace rlqvo {
 /// counts only go down, a scan that reads every lease as 0 with no mark in
 /// flight is a consistent snapshot of "every slot claimed", and a scan
 /// that meets a mark re-reads instead of failing (the refiller is one
-/// store from publishing). No lease is ever returned and no claimer
-/// blocks on another.
+/// store from publishing). A bulk claim takes min(held, still needed) from
+/// each lease it visits, so a lease it does not leave empty covered the
+/// rest of its ask; it comes back short only from such a full, mark-free
+/// scan. No lease is ever returned and no claimer blocks on another.
 ///
 /// **Memory-order protocol.** Apart from the pool release/acquire pair
 /// above, every atomic here uses std::memory_order_relaxed, deliberately:
@@ -83,7 +88,7 @@ namespace rlqvo {
 ///
 /// **Layout.** The pool, each lease, `stop_` and `hungry_` sit on their own
 /// cache lines; the read-only configuration shares one line that is never
-/// written after construction. So the per-emission claim touches only the
+/// written after construction. So the per-leaf claim touches only the
 /// claimer's lease line, and the quantum polls of `stop_`/`hungry_` never
 /// contend with claims.
 class EnumBudget {
@@ -113,17 +118,22 @@ class EnumBudget {
   EnumBudget(const EnumBudget&) = delete;
   EnumBudget& operator=(const EnumBudget&) = delete;
 
-  /// Claims one emission slot for worker `slot`. Returns false once every
-  /// slot of the global limit has been claimed (and raises the stop flag);
-  /// always true when unlimited. A caller must only emit a match for which
-  /// the claim succeeded. Several threads may share one slot (correct, just
-  /// contended).
-  bool TryClaimMatch(size_t slot = 0) {
-    if (limit_ == 0) return true;
+  /// Claims up to `n` emission slots for worker `slot` and returns how many
+  /// were granted: first from the worker's own lease, then by refilling it
+  /// from the pool (ClaimSlow), then by revoking slots from any lease. A
+  /// grant below `n` means every slot of the global limit has now been
+  /// claimed (the stop flag is raised); the unlimited budget always grants
+  /// `n`. A caller must emit exactly the granted number of matches. Several
+  /// threads may share one slot (correct, just contended).
+  uint64_t TryClaimMatches(size_t slot, uint64_t n) {
+    if (limit_ == 0) return n;
     RLQVO_DCHECK(slot < num_slots_);
-    if (TakeOne(&leases_[slot].value)) return true;
-    return ClaimSlow(slot);
+    const uint64_t got = TakeUpTo(&leases_[slot].value, n);
+    return got == n ? n : got + ClaimSlow(slot, n - got);
   }
+
+  /// The one-slot claim: TryClaimMatches(slot, 1) == 1.
+  bool TryClaimMatch(size_t slot = 0) { return TryClaimMatches(slot, 1) == 1; }
 
   /// True once every slot of the (finite) limit has been claimed: the pool
   /// is empty and no lease holds a slot or has a refill in flight.
@@ -187,62 +197,74 @@ class EnumBudget {
   /// which is at most kMaxLeaseChunk.
   static constexpr uint64_t kRefilling = uint64_t{1} << 63;
 
-  /// Takes one slot from `lease` if it holds any (a refill mark holds
-  /// none). Relaxed: the CAS's atomicity alone keeps the count exact.
-  static bool TakeOne(std::atomic<uint64_t>* lease) {
+  /// Takes min(held, want) slots from `lease` (a refill mark holds none)
+  /// and returns how many. Relaxed: the CAS's atomicity alone keeps the
+  /// count exact.
+  static uint64_t TakeUpTo(std::atomic<uint64_t>* lease, uint64_t want) {
     uint64_t have = lease->load(std::memory_order_relaxed);
     while (have != 0 && have != kRefilling) {
-      if (lease->compare_exchange_weak(have, have - 1,
+      const uint64_t take = std::min(have, want);
+      if (lease->compare_exchange_weak(have, have - take,
                                        std::memory_order_relaxed)) {
-        return true;
+        return take;
       }
     }
-    return false;
+    return 0;
   }
 
-  /// Own lease empty: refill it from the pool, or once the pool is empty
-  /// revoke a slot from any lease. Kept out of line so the emission hot
-  /// path inlines only the own-lease decrement.
-  [[gnu::noinline]] bool ClaimSlow(size_t slot) {
+  /// Own lease could not cover the claim: refill it from the pool, or once
+  /// the pool is empty revoke slots from any lease. Returns the slots
+  /// granted toward `want`; fewer only once every slot is claimed. Kept out
+  /// of line so the claim hot path inlines only the own-lease decrement.
+  [[gnu::noinline]] uint64_t ClaimSlow(size_t slot, uint64_t want) {
     std::atomic<uint64_t>& own = leases_[slot].value;
+    uint64_t got = 0;
     for (;;) {
       uint64_t pool = pool_.value.load(std::memory_order_acquire);
       if (pool != 0) {
         // Mark the lease before touching the pool. If a thread sharing
-        // this slot holds the mark already, take single slots from the
-        // pool instead of depositing.
+        // this slot holds the mark already, take only what this claim
+        // needs from the pool instead of depositing.
         uint64_t empty = 0;
         const bool deposit = own.compare_exchange_strong(
             empty, kRefilling, std::memory_order_relaxed);
+        uint64_t leased = 0;
         while (pool != 0) {
+          // Take this claim's need or one lease chunk, whichever is
+          // larger; what the claim does not need is leased out.
+          const uint64_t need = want - got;
           const uint64_t chunk =
               deposit ? std::clamp<uint64_t>(pool / (4 * num_slots_), 1,
                                              kMaxLeaseChunk)
                       : 1;
-          if (pool_.value.compare_exchange_weak(pool, pool - chunk,
+          const uint64_t take = std::min(pool, std::max(need, chunk));
+          if (pool_.value.compare_exchange_weak(pool, pool - take,
                                                 std::memory_order_release,
                                                 std::memory_order_acquire)) {
-            // Keep one slot for this claim, lease out the rest.
-            if (deposit) own.store(chunk - 1, std::memory_order_relaxed);
-            return true;
+            got += std::min(need, take);
+            leased = take - std::min(need, take);
+            break;
           }
         }
-        if (deposit) own.store(0, std::memory_order_relaxed);
+        if (deposit) own.store(leased, std::memory_order_relaxed);
+        // Short of `want` here means the take emptied the pool.
+        if (got == want) return got;
       }
-      // The pool read 0 (with acquire) and stays 0. Revoke one slot from
-      // any lease, this slot's own included: a thread sharing the slot may
+      // The pool read 0 (with acquire) and stays 0. Revoke slots from any
+      // lease, this slot's own included: a thread sharing the slot may
       // have refilled it.
       bool retry = false;
       for (size_t i = 1; i <= num_slots_; ++i) {
         std::atomic<uint64_t>& lease = leases_[(slot + i) % num_slots_].value;
-        if (TakeOne(&lease)) return true;
+        got += TakeUpTo(&lease, want - got);
+        if (got == want) return got;
         // Nonzero here is a refill mark, or the deposit of a refill whose
-        // mark TakeOne just saw: not provably empty.
+        // mark TakeUpTo just saw: not provably empty.
         retry |= lease.load(std::memory_order_relaxed) != 0;
       }
       if (!retry) {
         RequestStop();
-        return false;
+        return got;
       }
       // A refill is between its pool CAS and its deposit; re-read.
       std::this_thread::yield();

@@ -28,14 +28,12 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   parallel_run_token_ = 0;
 
   // Candidate lists are sorted ascending, so range validation is one
-  // tail check per query vertex; total size feeds the density decision.
-  size_t total_candidates = 0;
+  // tail check per query vertex.
   for (VertexId u = 0; u < nq; ++u) {
     const std::vector<VertexId>& c = candidates.candidates(u);
     if (!c.empty() && c.back() >= nv) {
       return Status::InvalidArgument("candidate vertex out of range");
     }
-    total_candidates += c.size();
   }
 #ifndef NDEBUG
   // The intersection core derives local candidates from label(u) adjacency
@@ -80,68 +78,65 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
 
   mapping_.assign(nq, kInvalidVertex);
 
-  // Bump the epoch: every stamp from previous queries is now stale. On
-  // uint8 wrap-around, old stamps could collide with reused epoch values,
-  // so both arrays get their once-per-255-queries zero-fill here.
+  // Bump the epoch: every visited mark from previous queries is now stale.
+  // On uint8 wrap-around, old marks could collide with reused epoch values,
+  // so the array gets its once-per-255-queries zero-fill here.
   ++epoch_;
   if (epoch_ == 0) {
-    std::fill(cand_stamp_.begin(), cand_stamp_.end(), uint8_t{0});
     std::fill(visited_stamp_.begin(), visited_stamp_.end(), uint8_t{0});
     epoch_ = 1;
     ++stats_.epoch_resets;
   }
   if (visited_stamp_.size() < nv) visited_stamp_.resize(nv, 0);
 
-  const size_t stamp_bytes = static_cast<size_t>(nq) * nv;
-  switch (mode_) {
-    case MembershipMode::kForceStamped:
-      dense_ = true;
-      break;
-    case MembershipMode::kForceBinarySearch:
-      dense_ = false;
-      break;
-    case MembershipMode::kAuto:
-      dense_ = nv <= kDenseVertexCutoff ||
-               (stamp_bytes <= kMaxStampBytes &&
-                static_cast<double>(total_candidates) >=
-                    kDenseMinFill * static_cast<double>(stamp_bytes));
-      break;
-  }
+  // Clear the previous query's mask bits: only the words it turned nonzero.
+  for (size_t w : mask_touched_) mask_[w] = 0;
+  mask_touched_.clear();
 
-  nv_ = nv;
-  if (dense_ && cand_stamp_.size() < stamp_bytes) {
-    // Growth is the one allocation that scales with nq·|V(G)|, so it is
-    // the degradation point: charge the *whole* new footprint (replacing
-    // the previous footprint's charge) and, when the budget or the
+  use_mask_ = mode_ != MembershipMode::kForceBinarySearch;
+  mask_words_ = (nq + 63) / 64;
+  const size_t mask_size = mask_words_ * nv;
+  if (use_mask_ && mask_.size() < mask_size) {
+    // Growth is the one allocation that scales with |V(G)|, so it is the
+    // degradation point: charge the *whole* new footprint (replacing the
+    // previous footprint's charge) and, when the budget or the
     // `workspace.grow` failpoint denies it, fall back to binary-search
     // membership — identical results, slower membership check. Only a
     // caller that explicitly pinned kForceStamped gets an error instead.
-    MemoryCharge charge = MemoryBudget::Global().TryCharge(stamp_bytes);
+    const size_t mask_bytes = mask_size * sizeof(uint64_t);
+    MemoryCharge charge = MemoryBudget::Global().TryCharge(mask_bytes);
     if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
       if (mode_ == MembershipMode::kForceStamped) {
         return Status::ResourceExhausted(
-            "stamp-array growth denied (" + std::to_string(stamp_bytes) +
+            "membership-mask growth denied (" + std::to_string(mask_bytes) +
             " bytes) with membership pinned to kForceStamped");
       }
-      dense_ = false;
+      use_mask_ = false;
       ++stats_.sparse_fallbacks;
     } else {
-      stamp_charge_ = std::move(charge);
-      cand_stamp_.resize(stamp_bytes, 0);
-      ++stats_.stamp_grows;
-      stats_.stamp_bytes = cand_stamp_.size();
+      mask_charge_ = std::move(charge);
+      mask_.resize(mask_size, 0);
+      ++stats_.mask_grows;
+      stats_.mask_bytes = mask_bytes;
     }
   }
-  if (dense_) {
+  if (use_mask_) {
     for (VertexId u = 0; u < nq; ++u) {
-      uint8_t* row = cand_stamp_.data() + static_cast<size_t>(u) * nv;
-      for (VertexId v : candidates.candidates(u)) row[v] = epoch_;
+      const size_t word = u / 64;
+      const uint64_t bit = uint64_t{1} << (u % 64);
+      for (VertexId v : candidates.candidates(u)) {
+        uint64_t& cell = mask_[static_cast<size_t>(v) * mask_words_ + word];
+        if (cell == 0) {
+          mask_touched_.push_back(static_cast<size_t>(&cell - mask_.data()));
+        }
+        cell |= bit;
+      }
     }
-    ++stats_.dense_prepares;
+    ++stats_.mask_prepares;
   }
 
   ++stats_.prepares;
-  stats_.last_dense = dense_;
+  stats_.last_mask = use_mask_;
   return Status::OK();
 }
 

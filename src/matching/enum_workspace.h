@@ -18,17 +18,21 @@ namespace rlqvo {
 /// workspace replaces that with state whose *steady-state* per-query cost is
 /// O(|V(q)| + Σ|C(u)|):
 ///
-/// - **Epoch-stamped membership.** Candidate-membership and visited arrays
-///   store a one-byte epoch instead of a boolean. Prepare() bumps the epoch,
-///   instantly invalidating every stamp from previous queries without
-///   touching the arrays; only the Σ|C(u)| live candidate cells are written.
-///   The uint8 epoch wraps every 255 queries, at which point both arrays are
-///   zero-filled once — an amortized 1/255 of the seed's per-query memset.
-/// - **Sparse fallback.** When the data graph is large and the candidate
-///   lists are sparse, even Σ|C(u)| stamping (and the nq·|V(G)| stamp-array
-///   footprint) is wasted work: membership falls back to
-///   CandidateSet::Contains binary search and the stamp array is never
-///   allocated. See the kDense* thresholds below.
+/// - **Membership bitmask.** Each data vertex v owns ⌈nq/64⌉ uint64 words;
+///   bit u says v ∈ C(u). Prepare() sets the Σ|C(u)| candidate bits and
+///   records every word it turned nonzero, and the next Prepare() zeroes
+///   exactly those words, so no per-query work scales with |V(G)|. The
+///   membership test is one load and one AND on every graph; the footprint
+///   is 8·⌈nq/64⌉·|V(G)| bytes, grown to the high-water mark and kept.
+/// - **Binary-search fallback.** When the memory budget (or the
+///   `workspace.grow` failpoint) denies the mask growth, membership falls
+///   back to CandidateSet::Contains — identical results, an O(log|C(u)|)
+///   check. kForceBinarySearch pins that path for tests.
+/// - **Epoch-stamped visited marks.** The visited array stores a one-byte
+///   epoch instead of a boolean. Prepare() bumps the epoch, instantly
+///   invalidating every mark from previous queries without touching the
+///   array; the uint8 epoch wraps every 255 queries, at which point the
+///   array is zero-filled once.
 /// - **Preallocated buffers.** The mapping, backward-neighbor and per-depth
 ///   local-candidate buffers (the materialization target of the
 ///   intersection core, see intersect.h) are kept across runs and only
@@ -41,10 +45,12 @@ class EnumeratorWorkspace {
  public:
   /// How candidate membership is answered during enumeration.
   enum class MembershipMode {
-    /// Pick stamped vs binary search from the thresholds below (default).
+    /// The bitmask, degrading to binary search if its growth is denied
+    /// (default).
     kAuto,
-    /// Always stamp (the seed bitmap semantics). Tests use this to pin the
-    /// dense code path; unbounded memory on huge graphs.
+    /// Always the bitmask (the mode's name predates the mask, which
+    /// replaced an epoch-stamp array); a denied growth makes Prepare fail
+    /// with kResourceExhausted instead of degrading.
     kForceStamped,
     /// Always binary-search CandidateSet::Contains. Zero setup beyond the
     /// backward/mapping buffers.
@@ -53,31 +59,18 @@ class EnumeratorWorkspace {
 
   /// Counters for benchmarks and reuse tests.
   struct Stats {
-    uint64_t prepares = 0;        ///< total Prepare() calls (one per query)
-    uint64_t dense_prepares = 0;  ///< prepares that used the stamped path
-    uint64_t epoch_resets = 0;    ///< full zero-fills from uint8 epoch wrap
-    uint64_t stamp_grows = 0;     ///< stamp-array reallocations
-    /// kAuto prepares that wanted the dense path but degraded to binary
-    /// search because the memory budget (or the `workspace.grow`
-    /// failpoint) denied the stamp-array growth. Results are identical
-    /// either way; only the membership check gets slower.
+    uint64_t prepares = 0;       ///< total Prepare() calls (one per query)
+    uint64_t mask_prepares = 0;  ///< prepares that used the bitmask
+    uint64_t epoch_resets = 0;   ///< visited zero-fills from uint8 wrap
+    uint64_t mask_grows = 0;     ///< bitmask reallocations
+    /// kAuto prepares that degraded to binary search because the memory
+    /// budget (or the `workspace.grow` failpoint) denied the mask growth.
+    /// Results are identical either way; only the membership check gets
+    /// slower.
     uint64_t sparse_fallbacks = 0;
-    size_t stamp_bytes = 0;       ///< current stamp-array allocation
-    bool last_dense = false;      ///< membership mode of the last prepare
+    size_t mask_bytes = 0;   ///< current bitmask allocation
+    bool last_mask = false;  ///< membership mode of the last prepare
   };
-
-  /// Below this many data vertices the stamp rows fit comfortably in cache
-  /// and stamping always wins (kAuto picks dense). Covers the paper's
-  /// benchmark graphs (yeast ≈ 3k vertices); larger graphs decide by fill.
-  static constexpr uint32_t kDenseVertexCutoff = 8192;
-  /// Minimum fill ratio Σ|C(u)| / (nq·|V(G)|) for kAuto to pick dense on
-  /// graphs above the cutoff: below ~1.6% the stamped cells are too sparse
-  /// to amortize the scattered writes, and binary search's log factor on
-  /// the hot membership check is cheaper than the setup. Chosen from
-  /// bench_enum_setup sweeps in this container (see docs/BENCHMARKS.md).
-  static constexpr double kDenseMinFill = 1.0 / 64.0;
-  /// Hard cap on the stamp-array footprint; kAuto never allocates more.
-  static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
 
   EnumeratorWorkspace() = default;
   EnumeratorWorkspace(const EnumeratorWorkspace&) = delete;
@@ -86,9 +79,9 @@ class EnumeratorWorkspace {
   EnumeratorWorkspace& operator=(EnumeratorWorkspace&&) = default;
 
   /// Readies the workspace for one enumeration of (query, data, candidates,
-  /// order): bumps the epoch, rebuilds the backward-neighbor lists for
-  /// `order`, resets the mapping, picks the membership mode and (dense path)
-  /// stamps the candidate cells. Validates that every candidate vertex is in
+  /// order): bumps the visited epoch, rebuilds the backward-neighbor lists
+  /// for `order`, resets the mapping, clears the previous query's mask bits
+  /// and sets this query's. Validates that every candidate vertex is in
   /// range for `data`. `order` must be a permutation of V(q) (checked by
   /// Enumerator::Run).
   Status Prepare(const Graph& query, const Graph& data,
@@ -98,12 +91,11 @@ class EnumeratorWorkspace {
   /// \name Hot-path accessors used by the enumeration recursion.
   /// Valid between a Prepare() and the next Prepare().
   /// @{
-  bool dense() const { return dense_; }
-
   bool InCandidates(const CandidateSet& candidates, VertexId u,
                     VertexId v) const {
-    return dense_ ? cand_stamp_[static_cast<size_t>(u) * nv_ + v] == epoch_
-                  : candidates.Contains(u, v);
+    if (!use_mask_) return candidates.Contains(u, v);
+    const uint64_t word = mask_[static_cast<size_t>(v) * mask_words_ + u / 64];
+    return ((word >> (u % 64)) & 1) != 0;
   }
 
   bool Visited(VertexId v) const { return visited_stamp_[v] == epoch_; }
@@ -189,10 +181,13 @@ class EnumeratorWorkspace {
  private:
   MembershipMode mode_ = MembershipMode::kAuto;
 
-  // Stamps equal to epoch_ mean "member"/"visited"; anything else (older
+  // mask_[v * mask_words_ + u / 64] bit u % 64 set iff v ∈ C(u); only the
+  // words listed in mask_touched_ are nonzero between two Prepares.
+  std::vector<uint64_t> mask_;
+  std::vector<size_t> mask_touched_;
+  MemoryCharge mask_charge_;  // budget charge for mask_
+  // Visited marks equal to epoch_ mean "visited"; anything else (older
   // epochs, or 0 from the wrap-around clear and from unmarking) means "no".
-  std::vector<uint8_t> cand_stamp_;     // row-major nq x |V(G)| when dense
-  MemoryCharge stamp_charge_;           // budget charge for cand_stamp_
   std::vector<uint8_t> visited_stamp_;  // |V(G)|
   std::vector<VertexId> mapping_;
   std::vector<std::vector<BackwardConstraint>> backward_;
@@ -201,9 +196,9 @@ class EnumeratorWorkspace {
   std::vector<Graph::SliceView> slice_scratch_;
   std::vector<uint8_t> placed_;  // scratch for the backward build
 
-  size_t nv_ = 0;      // stamp-row stride for the current query
-  uint8_t epoch_ = 0;  // 1..255 once prepared; 0 marks "never stamped"
-  bool dense_ = false;
+  size_t mask_words_ = 0;  // ⌈nq/64⌉ for the current query
+  uint8_t epoch_ = 0;      // 1..255 once prepared; 0 marks "never stamped"
+  bool use_mask_ = false;
   uint64_t parallel_run_token_ = 0;  // see parallel_run_token()
   Stats stats_;
 };

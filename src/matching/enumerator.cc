@@ -71,7 +71,7 @@ struct EmissionBlock {
 /// rather than one stream: whenever the segment pops a loop level that a
 /// split carved a tail from, its subsequent emissions come *after* the
 /// carved interval in serial order, so the current block is closed there
-/// and the next emission opens a new one (see EnumContext::EmitMatch and
+/// and the next emission opens a new one (see EnumContext::StoreEmbedding and
 /// RunLevel). Block paths then interleave parent and child output
 /// correctly under the global sort no matter how deep the split was.
 struct FrontierSegment {
@@ -521,39 +521,73 @@ struct EnumContext {
     return 0;
   }
 
-  void EmitMatch() {
-    if (!budget->TryClaimMatch(LeaseSlot())) {
-      // Global match budget exhausted. Serially this cannot happen (the
-      // claim that spends the last slot stops the run below); in parallel,
-      // another worker claimed the final slot first. Either way this
-      // match is not emitted, so the total stays exactly at the limit.
-      stopped = true;
-      return;
-    }
-    ++result.num_matches;
-    ++work;
-    if (options->store_embeddings) {
-      if constexpr (kStealable) {
-        // Consecutive emissions extend the current block; the first one —
-        // and the first after crossing a carved-off interval — opens a new
-        // block stamped with this emission's index path.
-        if (seg->blocks.empty() || pending_block_break_) {
-          seg->blocks.emplace_back();
-          EmissionBlock& block = seg->blocks.back();
-          block.path.resize(order->size());
-          for (size_t p = 0; p < order->size(); ++p) {
-            block.path[p] = PathComponent(p);
-          }
-          pending_block_break_ = false;
-        }
-        seg->blocks.back().embeddings.push_back(ws->mapping());
-      } else {
-        result.embeddings.push_back(ws->mapping());
+  /// Whether v completes the partial embedding at query vertex u: not yet
+  /// used, and (for local-candidate levels) a member of C(u).
+  bool Accepts(VertexId u, VertexId v, bool membership) const {
+    return !ws->Visited(v) &&
+           (!membership || ws->InCandidates(*candidates, u, v));
+  }
+
+  /// Appends the current mapping as one emitted embedding. `leaf_index` is
+  /// the last order position's original-frame candidate index, the final
+  /// component of the emission's index path.
+  void StoreEmbedding(size_t leaf_index) {
+    if constexpr (kStealable) {
+      // Consecutive emissions extend the current block; the first one —
+      // and the first after crossing a carved-off interval — opens a new
+      // block stamped with this emission's index path.
+      if (seg->blocks.empty() || pending_block_break_) {
+        seg->blocks.emplace_back();
+        EmissionBlock& block = seg->blocks.back();
+        const size_t leaf = order->size() - 1;
+        block.path.resize(order->size());
+        for (size_t p = 0; p < leaf; ++p) block.path[p] = PathComponent(p);
+        block.path[leaf] = leaf_index;
+        pending_block_break_ = false;
       }
+      seg->blocks.back().embeddings.push_back(ws->mapping());
+    } else {
+      (void)leaf_index;
+      result.embeddings.push_back(ws->mapping());
     }
-    // One load of the worker's own lease line unless that lease just ran
+  }
+
+  /// The last order position over cands[0, n), whose storage index 0 sits
+  /// at original-frame index `base`. Every accepted candidate completes an
+  /// embedding, so instead of recursing into each one the level counts
+  /// them in one scan and claims them all with one budget call. Each
+  /// granted embedding is one terminating recursive call of Algorithm 2,
+  /// so #enum and the match count both grow by the grant — exactly what
+  /// recursing into those candidates would have charged, since a serial
+  /// run stops on the claim that spends the last slot. With
+  /// store_embeddings the first `granted` accepted candidates are emitted
+  /// in scan order. The leaf level is never on the spine: a scan has no
+  /// checkpoint to split at, and the deadline is re-checked after it.
+  void RunLeaf(size_t depth, const VertexId* cands, size_t n, size_t base,
+               bool membership) {
+    const VertexId u = (*order)[depth];
+    uint64_t found = 0;
+    for (size_t i = 0; i < n; ++i) found += Accepts(u, cands[i], membership);
+    if (found == 0) return;
+    const uint64_t granted = budget->TryClaimMatches(LeaseSlot(), found);
+    result.num_enumerations += granted;
+    result.num_matches += granted;
+    work += granted;
+    if (options->store_embeddings) {
+      std::vector<VertexId>& mapping = ws->mapping();
+      uint64_t left = granted;
+      for (size_t i = 0; left > 0; ++i) {
+        if (!Accepts(u, cands[i], membership)) continue;
+        mapping[u] = cands[i];
+        StoreEmbedding(base + i);
+        --left;
+      }
+      mapping[u] = kInvalidVertex;
+    }
+    // A short grant means every slot of the limit is claimed. Otherwise
+    // one load of the worker's own lease line, unless that lease just ran
     // dry; only then scan the pool and sibling leases.
-    if (budget->LimitReachedAfterClaim(LeaseSlot())) {
+    if (granted < found || budget->LimitReachedAfterClaim(LeaseSlot())) {
       result.hit_match_limit = true;
       budget->RequestStop();
       stopped = true;
@@ -579,30 +613,33 @@ struct EnumContext {
     }
   }
 
-  /// The candidate loop at order position `depth` over cands[begin, end),
-  /// whose storage index 0 sits at original-frame index `base` (nonzero
-  /// only for resumed segments — fresh loops own their whole frame).
-  /// `membership` is false only for full-candidate-list levels (the root
-  /// and component breaks), whose vertices are members by construction.
-  /// In the stealable instantiation the loop bounds live in the spine so
-  /// TrySplit can shed the tail; `stable` records whether the storage
-  /// outlives the frame (see SpineLevel).
-  void RunLevel(size_t depth, const VertexId* cands, size_t begin, size_t end,
-                size_t base, bool stable, bool membership) {
+  /// The candidate loop at order position `depth` over cands[0, n), whose
+  /// storage index 0 sits at original-frame index `base` (nonzero only for
+  /// resumed segments — fresh loops own their whole frame). `membership`
+  /// is false only for full-candidate-list levels (the root and component
+  /// breaks), whose vertices are members by construction. The last order
+  /// position is counted by RunLeaf. In the stealable instantiation the
+  /// loop bounds live in the spine so TrySplit can shed the tail; `stable`
+  /// records whether the storage outlives the frame (see SpineLevel).
+  void RunLevel(size_t depth, const VertexId* cands, size_t n, size_t base,
+                bool stable, bool membership) {
+    if (depth + 1 == order->size()) {
+      RunLeaf(depth, cands, n, base, membership);
+      return;
+    }
     const VertexId u = (*order)[depth];
     if constexpr (kStealable) {
       SpineLevel& lvl = spine_[depth];
       lvl.cands = cands;
-      lvl.next = begin;
-      lvl.end = end;
+      lvl.next = 0;
+      lvl.end = n;
       lvl.base = base;
       lvl.stable = stable;
       lvl.active = true;
       lvl.carved = false;
       while (lvl.next < lvl.end) {
         const VertexId v = lvl.cands[lvl.next++];
-        if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(*candidates, u, v)) continue;
+        if (!Accepts(u, v, membership)) continue;
         Descend(depth, u, v);
         if (CheckStop()) break;
       }
@@ -615,12 +652,10 @@ struct EnumContext {
         pending_block_break_ = true;
       }
     } else {
-      (void)base;
       (void)stable;
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < n; ++i) {
         const VertexId v = cands[i];
-        if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(*candidates, u, v)) continue;
+        if (!Accepts(u, v, membership)) continue;
         Descend(depth, u, v);
         if (CheckStop()) return;
       }
@@ -636,7 +671,7 @@ struct EnumContext {
     if (CheckStop()) return;
     RLQVO_DCHECK(ws->backward()[0].empty());
     const std::vector<VertexId>& roots = candidates->candidates((*order)[0]);
-    RunLevel(0, roots.data(), 0, roots.size(), /*base=*/0, /*stable=*/true,
+    RunLevel(0, roots.data(), roots.size(), /*base=*/0, /*stable=*/true,
              /*membership=*/false);
   }
 
@@ -672,9 +707,8 @@ struct EnumContext {
       // Same membership rule the level's original loop used: full
       // candidate lists (root, component breaks) skip the test.
       const bool membership = !ws->backward()[segment->depth].empty();
-      RunLevel(segment->depth, segment->cands.data(), 0,
-               segment->cands.size(), segment->base, /*stable=*/true,
-               membership);
+      RunLevel(segment->depth, segment->cands.data(), segment->cands.size(),
+               segment->base, /*stable=*/true, membership);
       ws->RemoveSegmentPrefix(*order, prefix);
     }
     segment->result = std::move(result);
@@ -695,7 +729,7 @@ struct EnumContext {
       // No mapped backward neighbor (a component break in a disconnected
       // query/order): iterate C(u).
       const std::vector<VertexId>& c = candidates->candidates(u);
-      RunLevel(depth, c.data(), 0, c.size(), /*base=*/0, /*stable=*/true,
+      RunLevel(depth, c.data(), c.size(), /*base=*/0, /*stable=*/true,
                /*membership=*/false);
       return;
     }
@@ -720,7 +754,7 @@ struct EnumContext {
           mapping[backward[0].u], backward[0].dir, backward[0].elabel, ul);
       result.local_candidates_total += slice.size();
       work += slice.size();
-      RunLevel(depth, slice.data(), 0, slice.size(), /*base=*/0,
+      RunLevel(depth, slice.data(), slice.size(), /*base=*/0,
                /*stable=*/true, /*membership=*/true);
       return;
     }
@@ -761,20 +795,16 @@ struct EnumContext {
     work += bufs.result.size();
     // The intersection output is this worker's per-depth buffer: NOT
     // stable across frames, so a split of this level copies its half.
-    RunLevel(depth, bufs.result.data(), 0, bufs.result.size(), /*base=*/0,
+    RunLevel(depth, bufs.result.data(), bufs.result.size(), /*base=*/0,
              /*stable=*/false, /*membership=*/true);
   }
 
+  /// Maps u -> v for the subtree below order position `depth` (never the
+  /// last position, which RunLeaf counts without descending).
   void Descend(size_t depth, VertexId u, VertexId v) {
     ws->mapping()[u] = v;
     ws->MarkVisited(v);
-    if (depth + 1 == order->size()) {
-      ++result.num_enumerations;  // the terminating recursive call (line 3-4)
-      ++work;
-      EmitMatch();
-    } else {
-      Extend(depth + 1);
-    }
+    Extend(depth + 1);
     ws->UnmarkVisited(v);
     ws->mapping()[u] = kInvalidVertex;
   }

@@ -34,7 +34,9 @@ struct EnumerateOptions {
   /// Expiry is re-checked every ~16k units of charged work (recursive
   /// calls, intersection comparisons, local-candidate scans), so overshoot
   /// is bounded by a fixed work quantum plus at most one in-flight slice
-  /// intersection — not by how many recursive calls the slices amortize.
+  /// intersection and one last-position scan (which counts and claims its
+  /// embeddings without a check inside) — not by how many recursive calls
+  /// the slices amortize.
   double time_limit_seconds = 0.0;
   /// Keep the embeddings in EnumerateResult::embeddings (otherwise only
   /// counts are tracked).

@@ -21,7 +21,7 @@ struct GraphTensors;
 /// shrinks capacity, so steady-state inference performs zero heap
 /// allocations. `buffer_grows()` counts capacity growths, letting benches
 /// and tests assert the steady state (the same contract
-/// EnumeratorWorkspace::stats().stamp_grows provides for enumeration).
+/// EnumeratorWorkspace::stats().mask_grows provides for enumeration).
 ///
 /// A workspace is NOT thread-safe; use one per thread (RLQVOOrdering owns
 /// one, and QueryEngine builds one ordering — hence one workspace — per

@@ -330,7 +330,7 @@ TEST_F(ChaosTest, MemoryStarvationDegradesGracefullyWithIdenticalResults) {
   EXPECT_EQ(lean.num_matches, rich_matches);
 }
 
-// A workspace explicitly pinned to the stamped membership path cannot
+// A workspace explicitly pinned to the mask membership path cannot
 // degrade; budget denial must surface as kResourceExhausted, not abort.
 TEST_F(ChaosTest, ForcedStampedWorkspaceSurfacesResourceExhausted) {
   Graph data = RandomData(8301, 60, 5.0, 3);
@@ -355,7 +355,7 @@ TEST_F(ChaosTest, ForcedStampedWorkspaceSurfacesResourceExhausted) {
   // kAuto degrades instead: same inputs, sparse fallback, success.
   EnumeratorWorkspace auto_ws;
   EXPECT_TRUE(auto_ws.Prepare(query, data, candidates, order).ok());
-  EXPECT_FALSE(auto_ws.stats().last_dense);
+  EXPECT_FALSE(auto_ws.stats().last_mask);
   EXPECT_GE(auto_ws.stats().sparse_fallbacks, 1u);
 }
 

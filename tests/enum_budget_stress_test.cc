@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -267,6 +269,113 @@ TEST(EnumBudgetStressTest, SerialLimitReachedOnTheLastClaim) {
     }
     EXPECT_FALSE(budget.TryClaimMatch(0));
   }
+}
+
+// Bulk claims (one per leaf scan): TryClaimMatches grants
+// min(n, remaining) in the one-slot case, whether n fits the lease, exceeds
+// the largest lease chunk, the remaining pool or the whole limit, and the
+// post-claim check fires exactly when the grant spends the last slot.
+TEST(EnumBudgetStressTest, SerialBulkClaimsGrantMinOfAskAndRemaining) {
+  const Deadline deadline = Deadline::Unlimited();
+  const uint64_t asks[] = {1, 3, 700, EnumBudget::kMaxLeaseChunk + 1, 5000};
+  for (const uint64_t limit : {1u, 5u, 1024u, 4097u, 100000u}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    EnumBudget budget(limit, &deadline);
+    uint64_t remaining = limit;
+    for (size_t i = 0; remaining > 0; ++i) {
+      const uint64_t ask = asks[i % std::size(asks)];
+      const uint64_t got = budget.TryClaimMatches(0, ask);
+      ASSERT_EQ(got, std::min(ask, remaining)) << "claim " << i;
+      remaining -= got;
+      ASSERT_EQ(budget.LimitReachedAfterClaim(0), remaining == 0);
+    }
+    EXPECT_EQ(budget.TryClaimMatches(0, 10), 0u);
+    EXPECT_TRUE(budget.StopRequested());
+    // An ask larger than the whole limit, on a fresh budget.
+    EnumBudget whole(limit, &deadline);
+    EXPECT_EQ(whole.TryClaimMatches(0, limit + 7), limit);
+    EXPECT_TRUE(whole.LimitReached());
+  }
+}
+
+// Single and bulk claims mixed over 4 slots (two threads per slot): asks
+// below the lease chunk, above kMaxLeaseChunk, and above the pool and the
+// limit. Each thread claims until it is granted short of its ask — proof
+// the budget is spent — and the grants sum to exactly the limit.
+TEST(EnumBudgetStressTest, MixedSingleAndBulkClaimsSumToLimitExactly) {
+  const Deadline deadline = Deadline::Unlimited();
+  constexpr size_t kSlots = 4;
+  for (const uint64_t limit : {1u, 7u, 100u, 1000u, 5000u, 100000u}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    const uint64_t asks[] = {1, 3, 64, EnumBudget::kMaxLeaseChunk + 476,
+                             limit + 1};
+    EnumBudget budget(limit, &deadline, kSlots);
+    std::atomic<uint64_t> granted{0};
+    RunThreads(kThreads, [&](int t) {
+      const size_t slot = static_cast<size_t>(t) % kSlots;
+      for (size_t i = static_cast<size_t>(t);; ++i) {
+        const uint64_t ask = asks[i % std::size(asks)];
+        const uint64_t got = ask == 1 ? uint64_t{budget.TryClaimMatch(slot)}
+                                      : budget.TryClaimMatches(slot, ask);
+        granted.fetch_add(got);
+        if (got < ask) break;
+      }
+    });
+    EXPECT_EQ(granted.load(), limit);
+    EXPECT_TRUE(budget.LimitReached());
+    EXPECT_TRUE(budget.StopRequested());
+    EXPECT_EQ(budget.TryClaimMatches(0, 5), 0u);
+  }
+}
+
+// A lease stranded on a silent slot is recovered by bulk claimers too: one
+// bulk ask on a sibling slot drains the pool and then revokes the stranded
+// slots, and contended bulk claimers on the other slots are granted exactly
+// limit - 1 between them.
+TEST(EnumBudgetStressTest, StrandedLeaseIsRevokedByBulkClaimers) {
+  const Deadline deadline = Deadline::Unlimited();
+  constexpr size_t kSlots = 4;
+  for (const uint64_t limit : {2u, 100u, 1000u, 50000u}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    {
+      EnumBudget budget(limit, &deadline, kSlots);
+      ASSERT_TRUE(budget.TryClaimMatch(0));  // slot 0 leases a chunk
+      EXPECT_EQ(budget.TryClaimMatches(1, limit), limit - 1);
+      EXPECT_TRUE(budget.LimitReached());
+      EXPECT_FALSE(budget.TryClaimMatch(0));
+    }
+    {
+      EnumBudget budget(limit, &deadline, kSlots);
+      ASSERT_TRUE(budget.TryClaimMatch(0));
+      std::atomic<uint64_t> granted{0};
+      RunThreads(kThreads, [&](int t) {
+        const size_t slot = 1 + static_cast<size_t>(t) % (kSlots - 1);
+        const uint64_t ask = t % 2 == 0 ? 5 : EnumBudget::kMaxLeaseChunk + 1;
+        for (;;) {
+          const uint64_t got = budget.TryClaimMatches(slot, ask);
+          granted.fetch_add(got);
+          if (got < ask) break;
+        }
+      });
+      EXPECT_EQ(granted.load(), limit - 1);
+      EXPECT_TRUE(budget.LimitReached());
+      EXPECT_FALSE(budget.TryClaimMatch(0));
+    }
+  }
+}
+
+// Unlimited: every ask is granted in full and nothing ever reads as
+// reached or stopped.
+TEST(EnumBudgetStressTest, UnlimitedBulkClaimsGrantEveryAsk) {
+  const Deadline deadline = Deadline::Unlimited();
+  EnumBudget budget(0, &deadline, 4);
+  for (const uint64_t ask : {uint64_t{1}, uint64_t{1000},
+                             std::numeric_limits<uint64_t>::max()}) {
+    EXPECT_EQ(budget.TryClaimMatches(3, ask), ask);
+  }
+  EXPECT_FALSE(budget.LimitReached());
+  EXPECT_FALSE(budget.LimitReachedAfterClaim(0));
+  EXPECT_FALSE(budget.StopRequested());
 }
 
 }  // namespace

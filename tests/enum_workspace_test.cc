@@ -63,7 +63,7 @@ TEST_P(WorkspaceEquivalenceTest, AllModesAgreeWithBruteForce) {
     EXPECT_FALSE(result.timed_out);
   }
   EXPECT_EQ(ws.stats().prepares, 3u);
-  EXPECT_EQ(ws.stats().dense_prepares, 2u);  // forced-stamped + auto (small)
+  EXPECT_EQ(ws.stats().mask_prepares, 2u);  // forced-stamped + auto
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkspaceEquivalenceTest,
@@ -123,7 +123,7 @@ TEST(EnumWorkspaceTest, DisconnectedOrderOnConnectedQueryStillExact) {
 TEST(EnumWorkspaceTest, ReuseAcrossQueriesAndGraphsLeavesNoStaleState) {
   // One workspace serves alternating (query, data) pairs of different sizes
   // for many rounds; every run must match a fresh-workspace run. This is
-  // the cross-query leak test: stale candidate stamps, visited marks or
+  // the cross-query leak test: stale membership bits, visited marks or
   // backward lists would skew counts.
   Enumerator enumerator;
   EnumeratorWorkspace reused;
@@ -165,8 +165,8 @@ TEST(EnumWorkspaceTest, ReuseAcrossQueriesAndGraphsLeavesNoStaleState) {
   }
   EXPECT_EQ(reused.stats().prepares, 300u);
   EXPECT_GE(reused.stats().epoch_resets, 1u);
-  // Steady state: the stamp array grew to the high-water mark and stopped.
-  EXPECT_LE(reused.stats().stamp_grows, cases.size());
+  // Steady state: the mask grew to the high-water mark and stopped.
+  EXPECT_LE(reused.stats().mask_grows, cases.size());
 }
 
 TEST(EnumWorkspaceTest, MatchLimitPathWithReusedWorkspace) {
@@ -213,15 +213,15 @@ TEST(EnumWorkspaceTest, ExpiredExternalDeadlineCountsSetupAgainstBudget) {
   EXPECT_EQ(result.num_enumerations, 0u);
 }
 
-TEST(EnumWorkspaceTest, AutoModePicksBinarySearchOnLargeSparseGraph) {
-  // 70k vertices (> kDenseVertexCutoff) with 200 uniform labels: every
-  // candidate row fills ~0.5% < kDenseMinFill, so kAuto must skip the stamp
-  // array entirely.
+TEST(EnumWorkspaceTest, AutoModeUsesMaskOnLargeSparseGraph) {
+  // 70k vertices with 200 uniform labels: every candidate row fills ~0.5%
+  // of the graph. kAuto still answers membership from the bitmask — one
+  // word per data vertex for this 4-vertex query — with the same counts as
+  // binary search.
   LabelConfig labels;
   labels.num_labels = 200;
   labels.zipf_exponent = 0.0;  // uniform
   Graph data = GenerateErdosRenyi(70000, 4.0, labels, 131).ValueOrDie();
-  ASSERT_GT(data.num_vertices(), EnumeratorWorkspace::kDenseVertexCutoff);
   Graph query = RandomQuery(data, 132, 4);
   CandidateSet cs = LDFFilter().Filter(query, data).ValueOrDie();
   OrderingContext octx;
@@ -231,19 +231,126 @@ TEST(EnumWorkspaceTest, AutoModePicksBinarySearchOnLargeSparseGraph) {
   auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
 
   Enumerator enumerator;
-  EnumeratorWorkspace sparse_ws;
-  auto sparse =
-      enumerator.Run(query, data, cs, order, {}, &sparse_ws).ValueOrDie();
-  EXPECT_FALSE(sparse_ws.stats().last_dense);
-  EXPECT_EQ(sparse_ws.stats().stamp_bytes, 0u);  // never allocated
+  EnumeratorWorkspace mask_ws;
+  auto masked =
+      enumerator.Run(query, data, cs, order, {}, &mask_ws).ValueOrDie();
+  EXPECT_TRUE(mask_ws.stats().last_mask);
+  EXPECT_EQ(mask_ws.stats().mask_bytes,
+            data.num_vertices() * sizeof(uint64_t));
 
-  EnumeratorWorkspace dense_ws;
-  dense_ws.set_mode(MembershipMode::kForceStamped);
-  auto dense =
-      enumerator.Run(query, data, cs, order, {}, &dense_ws).ValueOrDie();
-  EXPECT_TRUE(dense_ws.stats().last_dense);
-  EXPECT_EQ(sparse.num_matches, dense.num_matches);
-  EXPECT_EQ(sparse.num_enumerations, dense.num_enumerations);
+  EnumeratorWorkspace search_ws;
+  search_ws.set_mode(MembershipMode::kForceBinarySearch);
+  auto searched =
+      enumerator.Run(query, data, cs, order, {}, &search_ws).ValueOrDie();
+  EXPECT_FALSE(search_ws.stats().last_mask);
+  EXPECT_EQ(search_ws.stats().mask_bytes, 0u);  // never allocated
+  EXPECT_GT(masked.num_matches, 0u);
+  EXPECT_EQ(masked.num_matches, searched.num_matches);
+  EXPECT_EQ(masked.num_enumerations, searched.num_enumerations);
+}
+
+/// Data for the multi-word mask cases: a 140-cycle with labels i % 5 plus
+/// chords i -> i + 6 (label + 1) at every tenth vertex, so label-ascending
+/// paths branch now and then.
+Graph ChordedCycle() {
+  constexpr uint32_t kN = 140;
+  GraphBuilder b;
+  for (uint32_t i = 0; i < kN; ++i) b.AddVertex(i % 5);
+  for (uint32_t i = 0; i < kN; ++i) {
+    b.AddEdge(i, (i + 1) % kN);
+    if (i % 10 == 0) b.AddEdge(i, (i + 6) % kN);
+  }
+  return b.Build();
+}
+
+/// A path query of `n` vertices labeled i % 5 with LDF candidates, minus
+/// every data vertex divisible by `stride` from C(u) for u >= `pruned_from`.
+/// Those candidates are label- and degree-compatible, so only the
+/// membership test rejects them — through the mask's second word when
+/// pruned_from >= 64.
+struct PathCase {
+  Graph query;
+  CandidateSet cs;
+  std::vector<VertexId> order;
+};
+PathCase PrunedPath(const Graph& data, uint32_t n, uint32_t pruned_from,
+                    uint32_t stride) {
+  GraphBuilder b;
+  for (uint32_t i = 0; i < n; ++i) b.AddVertex(i % 5);
+  for (uint32_t i = 0; i + 1 < n; ++i) b.AddEdge(i, i + 1);
+  PathCase c{b.Build(), CandidateSet(), {}};
+  c.cs = LDFFilter().Filter(c.query, data).ValueOrDie();
+  for (VertexId u = pruned_from; u < n; ++u) {
+    std::vector<VertexId> kept;
+    for (VertexId v : c.cs.candidates(u)) {
+      if (v % stride != 0) kept.push_back(v);
+    }
+    c.cs.Set(u, std::move(kept));
+  }
+  c.order = IdentityOrder(c.query);
+  return c;
+}
+
+EnumerateResult RunStored(const PathCase& c, const Graph& data,
+                          EnumeratorWorkspace* ws) {
+  EnumerateOptions opts = Unlimited();
+  opts.store_embeddings = true;
+  return Enumerator().Run(c.query, data, c.cs, c.order, opts, ws)
+      .ValueOrDie();
+}
+
+TEST(EnumWorkspaceTest, TwoWordMaskAgreesWithBinarySearch) {
+  const Graph data = ChordedCycle();
+  const PathCase pruned = PrunedPath(data, 70, 64, 7);
+  const PathCase full = PrunedPath(data, 70, 70, 7);
+
+  EnumeratorWorkspace search_ws;
+  search_ws.set_mode(MembershipMode::kForceBinarySearch);
+  const EnumerateResult expected = RunStored(pruned, data, &search_ws);
+  // The pruning of query vertices 64..69 must bite: fewer matches than the
+  // unpruned path, but some.
+  EXPECT_GT(expected.num_matches, 0u);
+  EXPECT_LT(expected.num_matches,
+            RunStored(full, data, &search_ws).num_matches);
+
+  for (MembershipMode mode :
+       {MembershipMode::kAuto, MembershipMode::kForceStamped}) {
+    EnumeratorWorkspace ws;
+    ws.set_mode(mode);
+    const EnumerateResult got = RunStored(pruned, data, &ws);
+    EXPECT_TRUE(ws.stats().last_mask);
+    EXPECT_EQ(ws.stats().mask_bytes,
+              2 * data.num_vertices() * sizeof(uint64_t));
+    EXPECT_EQ(got.num_matches, expected.num_matches);
+    EXPECT_EQ(got.num_enumerations, expected.num_enumerations);
+    EXPECT_EQ(got.embeddings, expected.embeddings);
+  }
+  for (const std::vector<VertexId>& embedding : expected.embeddings) {
+    EXPECT_TRUE(IsIsomorphism(pruned.query, data, embedding));
+    for (VertexId u = 64; u < 70; ++u) EXPECT_NE(embedding[u] % 7, 0u);
+  }
+}
+
+TEST(EnumWorkspaceTest, MaskWidthChangesLeaveNoStaleBits) {
+  // 70 -> 4 -> 70 query vertices on one workspace: the mask stride goes
+  // 2 -> 1 -> 2 words per data vertex. A bit left over from the previous
+  // layout would read as a member of a pruned candidate set in the next
+  // one and change the counts.
+  const Graph data = ChordedCycle();
+  const PathCase wide = PrunedPath(data, 70, 64, 7);
+  const PathCase narrow = PrunedPath(data, 4, 3, 2);
+  EnumeratorWorkspace reused;
+  for (const PathCase* c : {&wide, &narrow, &wide, &narrow}) {
+    EnumeratorWorkspace fresh;
+    fresh.set_mode(MembershipMode::kForceBinarySearch);
+    const EnumerateResult expected = RunStored(*c, data, &fresh);
+    const EnumerateResult got = RunStored(*c, data, &reused);
+    EXPECT_TRUE(reused.stats().last_mask);
+    EXPECT_EQ(got.num_matches, expected.num_matches)
+        << "nq=" << c->query.num_vertices();
+    EXPECT_EQ(got.num_enumerations, expected.num_enumerations);
+    EXPECT_EQ(got.embeddings, expected.embeddings);
+  }
 }
 
 TEST(EnumWorkspaceTest, StoredEmbeddingsAreIsomorphismsAcrossReuse) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -386,6 +388,183 @@ TEST(ParallelEnumTest, ExactLimitAtLeaseBoundariesUnderSkewedSteals) {
     }
   }
   failpoint::DeactivateAll();
+}
+
+/// Validity including edge direction and edge labels (IsIsomorphism checks
+/// the undirected skeleton only).
+bool IsLabeledEmbedding(const Graph& query, const Graph& data,
+                        const std::vector<VertexId>& mapping) {
+  if (!IsIsomorphism(query, data, mapping)) return false;
+  bool ok = true;
+  query.ForEachLabeledEdge([&](VertexId a, VertexId b, EdgeLabel e) {
+    ok = ok && data.HasEdge(mapping[a], mapping[b], EdgeDir::kOut, e);
+  });
+  return ok;
+}
+
+/// Leaf-loop workloads: a random query, a one-vertex query (the root is
+/// the last order position), a query whose last order position is a
+/// component break (its leaf scans a full candidate list with no
+/// membership test), and a directed edge-labeled query.
+struct LeafCase {
+  std::string name;
+  Graph data;
+  PreparedQuery pq;
+};
+
+std::vector<LeafCase> LeafCases() {
+  std::vector<LeafCase> cases;
+  {
+    Graph data = MakeData(61, 80, 5.0, 2, 0.0);
+    PreparedQuery pq = PrepareQuery(data, 62, 4);
+    cases.push_back({"random", std::move(data), std::move(pq)});
+  }
+  {
+    Graph data = MakeData(63, 60, 4.0, 2, 0.0);
+    GraphBuilder qb;
+    qb.AddVertex(0);
+    PreparedQuery pq{qb.Build(), CandidateSet(), {0}};
+    pq.candidates = LDFFilter().Filter(pq.query, data).ValueOrDie();
+    cases.push_back({"single-vertex", std::move(data), std::move(pq)});
+  }
+  {
+    Graph data = MakeData(64, 40, 3.0, 3, 0.0);
+    GraphBuilder qb;  // edge 0-1 plus the isolated vertex 2, placed last
+    qb.AddVertex(0);
+    qb.AddVertex(1);
+    qb.AddVertex(2);
+    qb.AddEdge(0, 1);
+    PreparedQuery pq{qb.Build(), CandidateSet(), {0, 1, 2}};
+    pq.candidates = LDFFilter().Filter(pq.query, data).ValueOrDie();
+    cases.push_back({"component-break-leaf", std::move(data), std::move(pq)});
+  }
+  {
+    LabelConfig cfg;
+    cfg.num_labels = 2;
+    cfg.num_edge_labels = 2;
+    cfg.directed = true;
+    Graph data = GenerateErdosRenyi(80, 8.0, cfg, 65).ValueOrDie();
+    PreparedQuery pq = PrepareQuery(data, 66, 3);
+    cases.push_back({"directed-edge-labeled", std::move(data), std::move(pq)});
+  }
+  return cases;
+}
+
+// The last order position counts its accepted candidates in one scan and
+// claims them with one TryClaimMatches call. Over serial and 1/2/4
+// threads x store_embeddings x every membership mode x limits at and
+// around every boundary — including one landing inside a leaf's candidate
+// set — a run emits exactly min(total, limit), reports hit_match_limit iff
+// limit <= total, and serial #enum depends on neither the membership mode
+// nor store_embeddings. A capped serial run stores the first `limit`
+// embeddings of the unlimited run (the grant is emitted in scan order);
+// parallel runs store distinct valid embeddings, and untruncated parallel
+// runs are bit-identical to serial.
+TEST(ParallelEnumTest, LeafLoopExactAcrossModesLimitsAndThreads) {
+  using MembershipMode = EnumeratorWorkspace::MembershipMode;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const LeafCase& c : LeafCases()) {
+    SCOPED_TRACE(c.name);
+    const Graph& data = c.data;
+    const PreparedQuery& pq = c.pq;
+    EnumerateOptions unlimited;
+    unlimited.match_limit = 0;
+    unlimited.store_embeddings = true;
+    const EnumerateResult full = RunSerial(data, pq, unlimited);
+    const uint64_t total = full.num_matches;
+    ASSERT_GT(total, 8u) << "workload too small to exercise limits";
+    ASSERT_EQ(total, BruteForceMatch(pq.query, data).size());
+    for (const auto& embedding : full.embeddings) {
+      ASSERT_TRUE(IsLabeledEmbedding(pq.query, data, embedding));
+    }
+    const std::set<std::vector<VertexId>> valid(full.embeddings.begin(),
+                                                full.embeddings.end());
+    ASSERT_EQ(valid.size(), total);
+
+    // A limit inside one leaf's candidate set: emissions limit-1 and limit
+    // (0-based) differ only at the last order position.
+    uint64_t mid = 0;
+    const VertexId leaf = pq.order.back();
+    for (uint64_t k = total / 2; k < total && mid == 0; ++k) {
+      std::vector<VertexId> a = full.embeddings[k - 1];
+      std::vector<VertexId> b = full.embeddings[k];
+      a[leaf] = b[leaf] = kInvalidVertex;
+      if (a == b) mid = k;
+    }
+    ASSERT_NE(mid, 0u) << "no leaf set with two embeddings past the middle";
+
+    std::map<uint64_t, uint64_t> serial_enum;  // limit -> serial #enum
+    for (MembershipMode mode : {MembershipMode::kAuto,
+                                MembershipMode::kForceStamped,
+                                MembershipMode::kForceBinarySearch}) {
+      for (bool store : {false, true}) {
+        for (uint64_t limit :
+             {uint64_t{0}, uint64_t{1}, uint64_t{2}, mid, total - 1, total,
+              total + 1}) {
+          SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                       " store=" + std::to_string(store) +
+                       " limit=" + std::to_string(limit));
+          const uint64_t expected = limit == 0 ? total : std::min(total, limit);
+          const bool hits = limit != 0 && limit <= total;
+          EnumerateOptions opts;
+          opts.match_limit = limit;
+          opts.store_embeddings = store;
+
+          EnumeratorWorkspace serial_ws;
+          serial_ws.set_mode(mode);
+          const EnumerateResult serial =
+              Enumerator()
+                  .Run(pq.query, data, pq.candidates, pq.order, opts,
+                       &serial_ws)
+                  .ValueOrDie();
+          EXPECT_EQ(serial.num_matches, expected);
+          EXPECT_EQ(serial.hit_match_limit, hits);
+          const auto [it, inserted] =
+              serial_enum.emplace(limit, serial.num_enumerations);
+          if (!inserted) {
+            EXPECT_EQ(serial.num_enumerations, it->second);
+          }
+          if (store) {
+            EXPECT_TRUE(std::equal(serial.embeddings.begin(),
+                                   serial.embeddings.end(),
+                                   full.embeddings.begin(),
+                                   full.embeddings.begin() + expected));
+            EXPECT_EQ(serial.embeddings.size(), expected);
+          } else {
+            EXPECT_TRUE(serial.embeddings.empty());
+          }
+
+          for (const std::unique_ptr<ThreadPool>& pool : pools) {
+            const uint32_t threads = static_cast<uint32_t>(pool->size());
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            std::vector<EnumeratorWorkspace> workspaces(pool->size());
+            for (EnumeratorWorkspace& ws : workspaces) ws.set_mode(mode);
+            EnumeratorWorkspace caller_ws;
+            caller_ws.set_mode(mode);
+            const EnumerateResult parallel =
+                RunParallelWith(data, pq, opts, threads, pool.get(),
+                                &workspaces, &caller_ws);
+            EXPECT_EQ(parallel.num_matches, expected);
+            EXPECT_EQ(parallel.hit_match_limit, hits);
+            EXPECT_FALSE(parallel.timed_out);
+            if (store) {
+              ASSERT_EQ(parallel.embeddings.size(), expected);
+              const std::set<std::vector<VertexId>> distinct(
+                  parallel.embeddings.begin(), parallel.embeddings.end());
+              EXPECT_EQ(distinct.size(), expected);
+              for (const auto& embedding : parallel.embeddings) {
+                EXPECT_TRUE(valid.contains(embedding));
+              }
+            }
+            if (!hits) ExpectBitIdentical(serial, parallel, threads);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelEnumTest, UnlimitedMeansZeroAndNeverReportsLimit) {
