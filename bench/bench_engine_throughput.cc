@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
       // cache hits shift budget into enumeration — so exact equality is
       // only enforced when every query finished in both runs.
       if (seq_unsolved == 0 && batch.unsolved == 0 &&
-          batch.total_matches != seq_matches) {
+          batch.num_matches != seq_matches) {
         std::fprintf(stderr, "FATAL: match count mismatch (%llu vs %llu)\n",
-                     static_cast<unsigned long long>(batch.total_matches),
+                     static_cast<unsigned long long>(batch.num_matches),
                      static_cast<unsigned long long>(seq_matches));
         return 1;
       }
@@ -115,12 +115,7 @@ int main(int argc, char** argv) {
                     cached ? "_cached" : "");
       metrics.emplace_back(key, qps);
       if (threads == 4 && cached) {
-        AppendEnumWorkMetrics(&metrics, "batch", batch.total_intersections,
-                              batch.total_probe_comparisons,
-                              batch.total_local_candidates,
-                              batch.total_local_candidate_sets,
-                              batch.total_simd_intersections,
-                              batch.total_bitmap_intersections);
+        AppendEnumWorkMetrics(&metrics, "batch", batch);
         AppendOrderingMetrics(&metrics, "batch", batch.total_order_seconds,
                               batch.order_cache_hits,
                               batch.order_cache_misses);
@@ -164,7 +159,7 @@ int main(int argc, char** argv) {
     const double qps = dir_queries.size() / seconds;
     std::printf("%-28s %8.2f s %10.1f q/s  (%llu matches, %u failed)\n",
                 "directed 4 threads + cache", seconds, qps,
-                static_cast<unsigned long long>(batch.total_matches),
+                static_cast<unsigned long long>(batch.num_matches),
                 batch.failed);
     if (batch.failed > 0) {
       std::fprintf(stderr, "FATAL: directed batch had failures\n");
@@ -172,7 +167,7 @@ int main(int argc, char** argv) {
     }
     metrics.emplace_back("directed_4_cached_qps", qps);
     metrics.emplace_back("directed_total_matches",
-                         static_cast<double>(batch.total_matches));
+                         static_cast<double>(batch.num_matches));
   }
 
   WriteBenchJson("engine_throughput", opts, metrics);

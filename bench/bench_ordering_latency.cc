@@ -1,8 +1,9 @@
 // Serving-side ordering latency: per-order p50/p99 for the heuristic
 // baselines (RI / GQL / CFL) vs RL-QVO through the training-grade autograd
-// forward vs RL-QVO through the tape-free inference path (ISSUE 5
-// tentpole), plus engine batch throughput with the fingerprint-keyed order
-// cache on a repeated-shape workload.
+// forward (AutogradOrdering below: PolicyNetwork::Forward over the same
+// OrderingEnv episode) vs RLQVOOrdering's tape-free inference path, plus
+// engine batch throughput with the fingerprint-keyed order cache on a
+// repeated-shape workload.
 //
 // Fatal invariants (checked in every mode, --smoke included):
 //   - the inference path and the eval-mode autograd path pick identical
@@ -12,7 +13,7 @@
 //   - order-cache accounting balances (hits + misses == lookups) and the
 //     cached batch reproduces the uncached batch's match counts.
 //
-// Acceptance bar (ISSUE 5): inference >= 3x faster than autograd on
+// Acceptance bar: inference >= 3x faster than autograd on
 // paper-scale queries (|V(q)| in [8, 32]), measured as the aggregate
 // speedup over the size-mixed workload (total autograd seconds / total
 // inference seconds; per-size ratios are also reported — small queries sit
@@ -34,6 +35,8 @@
 #include "graph/query_sampler.h"
 #include "matching/filters.h"
 #include "matching/ordering.h"
+#include "rl/env.h"
+#include "rl/policy_network.h"
 
 using namespace rlqvo;
 using namespace rlqvo::bench;
@@ -62,6 +65,49 @@ LatencyStats Percentiles(std::vector<double> seconds) {
   stats.mean_us = total / seconds.size() * 1e6;
   return stats;
 }
+
+/// RL-QVO's greedy-argmax order through the training-grade autograd
+/// forward (PolicyNetwork::Forward, eval mode), walking the same
+/// OrderingEnv episode as RLQVOOrdering::MakeOrder: single-action steps skip
+/// the network, ties keep the lowest vertex id. The baseline the tape-free
+/// inference path is timed and order-checked against.
+class AutogradOrdering : public Ordering {
+ public:
+  AutogradOrdering(std::shared_ptr<const PolicyNetwork> policy,
+                   FeatureConfig features)
+      : policy_(std::move(policy)), features_(features) {}
+
+  std::string name() const override { return "RLQVO_autograd"; }
+
+  Result<std::vector<VertexId>> MakeOrder(const OrderingContext& ctx) override {
+    OrderingEnv env(ctx.query, ctx.data, features_);
+    while (!env.Done()) {
+      VertexId action = env.SoleAction();
+      if (action == kInvalidVertex) {
+        const PolicyNetwork::ForwardResult forward =
+            policy_->Forward(env.tensors(), env.FeaturesView(),
+                             env.ActionMask(), /*training=*/false, nullptr);
+        double best = -1e300;
+        for (VertexId u = 0; u < ctx.query->num_vertices(); ++u) {
+          const double lp = forward.log_probs.value().At(u, 0);
+          if (env.ActionMask()[u] && lp > best) {
+            best = lp;
+            action = u;
+          }
+        }
+      }
+      if (action == kInvalidVertex) {
+        return Status::Internal("autograd forward left no legal action");
+      }
+      env.Step(action);
+    }
+    return env.order();
+  }
+
+ private:
+  std::shared_ptr<const PolicyNetwork> policy_;
+  FeatureConfig features_;
+};
 
 /// Times `ordering` over every (query, candidates) pair `reps` times and
 /// returns per-order latencies. Orders are appended to `orders_out` (one
@@ -162,8 +208,7 @@ int main(int argc, char** argv) {
     record("CFL", TimeOrdering(&cfl, queries, data, candidates, reps));
 
     // RL-QVO, autograd (training-grade) path.
-    RLQVOOrdering autograd(policy, model.feature_config());
-    autograd.set_use_inference_path(false);
+    AutogradOrdering autograd(policy, model.feature_config());
     std::vector<std::vector<VertexId>> autograd_orders;
     const std::vector<double> autograd_lat = TimeOrdering(
         &autograd, queries, data, candidates, reps, &autograd_orders);
@@ -235,13 +280,13 @@ int main(int argc, char** argv) {
   MustOk(engine_off->MatchBatch(batch), "warmup");
   const BatchResult on = MustOk(engine_on->MatchBatch(batch), "batch");
   const BatchResult off = MustOk(engine_off->MatchBatch(batch), "batch");
-  if (on.total_matches != off.total_matches ||
-      on.total_enumerations != off.total_enumerations) {
+  if (on.num_matches != off.num_matches ||
+      on.num_enumerations != off.num_enumerations) {
     std::fprintf(stderr,
                  "FATAL: order cache changed batch results "
                  "(matches %llu vs %llu)\n",
-                 static_cast<unsigned long long>(on.total_matches),
-                 static_cast<unsigned long long>(off.total_matches));
+                 static_cast<unsigned long long>(on.num_matches),
+                 static_cast<unsigned long long>(off.num_matches));
     return 1;
   }
   if (on.order_cache_hits + on.order_cache_misses != batch.size()) {

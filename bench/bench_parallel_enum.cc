@@ -74,24 +74,14 @@ struct PreparedQuery {
   std::vector<VertexId> order;
 };
 
-/// Scheduler diagnostics accumulated over every parallel run at one thread
-/// count (warm-up + timed reps): steals/splits are summed, depth and the
-/// per-worker work spread are maxima over runs — "did the schedule ever
-/// go deep / how unbalanced did a single run get".
-struct SchedStats {
-  uint64_t steals = 0;
-  uint64_t splits = 0;
-  uint64_t max_segment_depth = 0;
-  uint64_t min_worker_work = 0;  // min over workers, max over runs
-  uint64_t max_worker_work = 0;
-};
-
 /// One timed configuration (a match_limit) over a case's query set: the
 /// serial baseline and each thread count's parallel time.
 struct LegResult {
   double serial_us = 0.0;
   std::vector<std::pair<uint32_t, double>> parallel_us;  // (threads, us)
-  std::vector<std::pair<uint32_t, SchedStats>> sched;    // (threads, stats)
+  /// (threads, EnumStats::Merge fold over every parallel run at that
+  /// thread count, warm-up included).
+  std::vector<std::pair<uint32_t, EnumStats>> sched;
 };
 
 struct CaseResult {
@@ -101,7 +91,7 @@ struct CaseResult {
   /// claim leases.
   uint64_t match_cap = 0;
   LegResult capped;
-  EnumerateResult accumulated;  // serial work counters over the query set
+  EnumStats accumulated;  // serial Merge fold over the query set
 };
 
 /// Times serial Run and RunParallel at {1, 2, 4} threads under
@@ -160,7 +150,7 @@ LegResult TimeLeg(const WorkloadCase& c, const Graph& data,
     resources.worker_workspaces = &workspaces;
     resources.caller_workspace = &caller_ws;
 
-    SchedStats sched;
+    EnumStats sched;
     auto run_parallel = [&] {
       for (size_t i = 0; i < queries.size(); ++i) {
         const PreparedQuery& pq = queries[i];
@@ -168,14 +158,7 @@ LegResult TimeLeg(const WorkloadCase& c, const Graph& data,
             enumerator.RunParallel(pq.query, data, pq.candidates, pq.order,
                                    popts, resources),
             "parallel enumerate");
-        sched.steals += r.num_steals;
-        sched.splits += r.num_splits;
-        sched.max_segment_depth =
-            std::max<uint64_t>(sched.max_segment_depth, r.max_segment_depth);
-        sched.min_worker_work =
-            std::max(sched.min_worker_work, r.min_worker_work);
-        sched.max_worker_work =
-            std::max(sched.max_worker_work, r.max_worker_work);
+        sched.Merge(r);
         check("parallel", threads, i, r.num_matches);
       }
     };
@@ -239,12 +222,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
                                    full, &serial_ws),
                     "serial enumerate");
     expected[i] = r.num_matches;
-    out.accumulated.num_intersections += r.num_intersections;
-    out.accumulated.num_probe_comparisons += r.num_probe_comparisons;
-    out.accumulated.local_candidates_total += r.local_candidates_total;
-    out.accumulated.local_candidate_sets += r.local_candidate_sets;
-    out.accumulated.num_simd_intersections += r.num_simd_intersections;
-    out.accumulated.num_bitmap_intersections += r.num_bitmap_intersections;
+    out.accumulated.Merge(r);
   }
   out.full = TimeLeg(c, data, queries, 0, expected);
 
@@ -323,28 +301,29 @@ int main(int argc, char** argv) {
       report_leg(c.name + "-capped", "capped_", c.name, r.capped);
     }
     // Per-thread-count scheduler diagnostics (summed over all timed runs).
-    const SchedStats* widest = nullptr;
+    const EnumStats* widest = nullptr;
     for (const auto& [threads, s] : r.full.sched) {
       const std::string t = std::to_string(threads) + "t_" + c.name;
-      metrics.emplace_back("steals_" + t, static_cast<double>(s.steals));
-      metrics.emplace_back("splits_" + t, static_cast<double>(s.splits));
+      metrics.emplace_back("steals_" + t, static_cast<double>(s.num_steals));
+      metrics.emplace_back("splits_" + t, static_cast<double>(s.num_splits));
       metrics.emplace_back("segment_depth_" + t,
                            static_cast<double>(s.max_segment_depth));
-      if (c.power_law && threads >= 2) powerlaw_multithread_steals += s.steals;
+      if (c.power_law && threads >= 2) {
+        powerlaw_multithread_steals += s.num_steals;
+      }
       widest = &s;
     }
-    // Serial work counters plus the widest parallel run's scheduler stats.
-    AppendEnumWorkMetrics(&metrics, c.name, r.accumulated.num_intersections,
-                          r.accumulated.num_probe_comparisons,
-                          r.accumulated.local_candidates_total,
-                          r.accumulated.local_candidate_sets,
-                          r.accumulated.num_simd_intersections,
-                          r.accumulated.num_bitmap_intersections,
-                          widest ? widest->steals : 0,
-                          widest ? widest->splits : 0,
-                          widest ? widest->max_segment_depth : 0,
-                          widest ? widest->min_worker_work : 0,
-                          widest ? widest->max_worker_work : 0);
+    // Serial work counters plus the widest thread count's schedule (its
+    // own work counters sum every timed rep, so they are not emitted).
+    EnumStats emitted = r.accumulated;
+    if (widest != nullptr) {
+      emitted.num_steals = widest->num_steals;
+      emitted.num_splits = widest->num_splits;
+      emitted.max_segment_depth = widest->max_segment_depth;
+      emitted.min_worker_work = widest->min_worker_work;
+      emitted.max_worker_work = widest->max_worker_work;
+    }
+    AppendEnumWorkMetrics(&metrics, c.name, emitted);
     if (c.name == "powerlaw") heavy_speedup_4t = speedup_4t;
     results.emplace_back(c.name, std::move(r));
   }
@@ -355,8 +334,8 @@ int main(int argc, char** argv) {
   for (const auto& [name, r] : results) {
     for (const auto& [threads, s] : r.full.sched) {
       std::printf("%10s %7u %12llu %12llu %10llu\n", name.c_str(), threads,
-                  static_cast<unsigned long long>(s.steals),
-                  static_cast<unsigned long long>(s.splits),
+                  static_cast<unsigned long long>(s.num_steals),
+                  static_cast<unsigned long long>(s.num_splits),
                   static_cast<unsigned long long>(s.max_segment_depth));
     }
   }

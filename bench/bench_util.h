@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
+#include "matching/enum_stats.h"
 
 namespace rlqvo {
 namespace bench {
@@ -144,45 +146,27 @@ T MustOk(Result<T> result, const char* what) {
   return std::move(result).ValueOrDie();
 }
 
-/// \brief Appends the intersection-core enumeration counters of a batch (or
-/// any accumulated totals) to a bench's metrics under `<prefix>_...` keys:
-/// intersections, probe comparisons, and the average local-candidate size.
-/// Keeping these in every BENCH_*.json lets the perf trajectory track work
-/// done, not just wall time.
+/// \brief Appends every EnumStats counter of a run, batch or fold to a
+/// bench's metrics as `<prefix>_<field>`, the field's name without its
+/// `num_` prefix (`_matches`, `_intersections`, `_steals`,
+/// `_min_worker_work`, ...), plus the derived `<prefix>_avg_local_candidates`
+/// (local_candidates_total / local_candidate_sets). Keeping these in every
+/// BENCH_*.json lets the perf trajectory track work done, not just wall
+/// time.
 inline void AppendEnumWorkMetrics(
     std::vector<std::pair<std::string, double>>* metrics,
-    const std::string& prefix, uint64_t intersections,
-    uint64_t probe_comparisons, uint64_t local_candidates,
-    uint64_t local_candidate_sets, uint64_t simd_intersections = 0,
-    uint64_t bitmap_intersections = 0, uint64_t steals = 0,
-    uint64_t splits = 0, uint64_t max_segment_depth = 0,
-    uint64_t min_worker_work = 0, uint64_t max_worker_work = 0) {
-  metrics->emplace_back(prefix + "_intersections",
-                        static_cast<double>(intersections));
-  metrics->emplace_back(prefix + "_probe_comparisons",
-                        static_cast<double>(probe_comparisons));
-  metrics->emplace_back(prefix + "_avg_local_candidates",
-                        local_candidate_sets == 0
-                            ? 0.0
-                            : static_cast<double>(local_candidates) /
-                                  static_cast<double>(local_candidate_sets));
-  // Kernel-dispatch split: how many of the intersections the SIMD and
-  // bitmap families served (the remainder ran scalar).
-  metrics->emplace_back(prefix + "_simd_intersections",
-                        static_cast<double>(simd_intersections));
-  metrics->emplace_back(prefix + "_bitmap_intersections",
-                        static_cast<double>(bitmap_intersections));
-  // Work-stealing scheduler diagnostics (all zero for serial runs):
-  // cross-deque steals, lazy splits, deepest resumed segment and the
-  // per-worker work-unit spread the schedule achieved.
-  metrics->emplace_back(prefix + "_steals", static_cast<double>(steals));
-  metrics->emplace_back(prefix + "_splits", static_cast<double>(splits));
-  metrics->emplace_back(prefix + "_max_segment_depth",
-                        static_cast<double>(max_segment_depth));
-  metrics->emplace_back(prefix + "_min_worker_work",
-                        static_cast<double>(min_worker_work));
-  metrics->emplace_back(prefix + "_max_worker_work",
-                        static_cast<double>(max_worker_work));
+    const std::string& prefix, const EnumStats& stats) {
+  stats.ForEachField([&](std::string_view name, uint64_t value, bool) {
+    if (name.starts_with("num_")) name.remove_prefix(4);
+    metrics->emplace_back(prefix + "_" + std::string(name),
+                          static_cast<double>(value));
+  });
+  metrics->emplace_back(
+      prefix + "_avg_local_candidates",
+      stats.local_candidate_sets == 0
+          ? 0.0
+          : static_cast<double>(stats.local_candidates_total) /
+                static_cast<double>(stats.local_candidate_sets));
 }
 
 /// \brief Appends the serving-side ordering metrics of a batch under

@@ -6,7 +6,9 @@
 #
 # Gates, in order:
 #   1. scripts/lint_rlqvo.py   — raw-mutex ban, RNG ban, header
-#                                self-containment (needs only a C++
+#                                self-containment, failpoint-catalog
+#                                closure, `neighbors-ok` annotations in
+#                                src/matching/ (needs only a C++
 #                                compiler; always runs)
 #   2. clang-format            — formatting drift in src/ tests/ bench/
 #                                (skipped with a notice if clang-format is
@@ -30,7 +32,7 @@ skipped=0
 
 note() { printf '\n== %s\n' "$*"; }
 
-note "lint_rlqvo.py (raw-sync ban, RNG ban, header self-containment)"
+note "lint_rlqvo.py (raw-sync ban, RNG ban, header self-containment, failpoint catalog, neighbors-ok)"
 if ! python3 "${repo_root}/scripts/lint_rlqvo.py"; then
   failed=1
 fi

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific static lint for the rlqvo serving stack.
 
-Three checks, all scoped to src/ (tests and benches may use the raw standard
+Five checks, all scoped to src/ (tests and benches may use the raw standard
 library — they are not part of the annotated serving stack):
 
 1. **Raw synchronization primitives are banned.** Every mutex/lock/condvar

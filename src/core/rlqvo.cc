@@ -119,18 +119,11 @@ Result<std::vector<VertexId>> RLQVOOrdering::MakeOrder(
       env.Step(sole);
       continue;
     }
-    VertexId choice;
-    if (use_inference_path_) {
-      const PolicyNetwork::InferenceResult forward = policy_->ForwardInference(
-          &inference_workspace_, env.tensors(), env.FeaturesView(),
-          env.ActionMask());
-      choice = ChooseAction(*forward.log_probs, env.ActionMask(), n);
-    } else {
-      const PolicyNetwork::ForwardResult forward =
-          policy_->Forward(env.tensors(), env.FeaturesView(), env.ActionMask(),
-                           /*training=*/false, nullptr);
-      choice = ChooseAction(forward.log_probs.value(), env.ActionMask(), n);
-    }
+    const PolicyNetwork::InferenceResult forward = policy_->ForwardInference(
+        &inference_workspace_, env.tensors(), env.FeaturesView(),
+        env.ActionMask());
+    const VertexId choice =
+        ChooseAction(*forward.log_probs, env.ActionMask(), n);
     if (choice == kInvalidVertex) {
       policy_failed = true;  // non-finite scores
       break;

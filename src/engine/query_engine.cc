@@ -1,6 +1,5 @@
 #include "engine/query_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -231,27 +230,7 @@ Result<BatchResult> QueryEngine::MatchBatch(const std::vector<Graph>& queries,
       continue;
     }
     const MatchRunStats& stats = batch.per_query[i];
-    batch.total_matches += stats.num_matches;
-    batch.total_enumerations += stats.num_enumerations;
-    batch.total_intersections += stats.num_intersections;
-    batch.total_probe_comparisons += stats.num_probe_comparisons;
-    batch.total_local_candidates += stats.local_candidates_total;
-    batch.total_local_candidate_sets += stats.local_candidate_sets;
-    batch.total_simd_intersections += stats.num_simd_intersections;
-    batch.total_bitmap_intersections += stats.num_bitmap_intersections;
-    batch.total_steals += stats.num_steals;
-    batch.total_splits += stats.num_splits;
-    batch.max_segment_depth =
-        std::max(batch.max_segment_depth, stats.max_segment_depth);
-    batch.max_worker_work =
-        std::max(batch.max_worker_work, stats.max_worker_work);
-    // Min over queries that ran parallel segments: a serial query's zero
-    // would otherwise mask the real spread.
-    if (stats.max_worker_work > 0 &&
-        (batch.min_worker_work == 0 ||
-         stats.min_worker_work < batch.min_worker_work)) {
-      batch.min_worker_work = stats.min_worker_work;
-    }
+    batch.Merge(stats);
     batch.total_order_seconds += stats.order_time_seconds;
     if (!stats.solved) ++batch.unsolved;
   }

@@ -72,7 +72,12 @@ struct BatchOptions {
 
 /// \brief Outcome of one MatchBatch call: per-query stats aligned with the
 /// input order, plus batch-level aggregates.
-struct BatchResult {
+///
+/// The inherited EnumStats counters are the EnumStats::Merge fold of the
+/// successful per_query entries: work counters and steals/splits summed,
+/// max_segment_depth and max_worker_work the batch maxima, min_worker_work
+/// the minimum over queries that did any enumeration work.
+struct BatchResult : EnumStats {
   /// stats[i] corresponds to queries[i], regardless of which worker ran it
   /// or in what order workers finished. Only meaningful where statuses[i]
   /// is OK (failed queries leave a default-constructed entry).
@@ -83,34 +88,6 @@ struct BatchResult {
   std::vector<Status> statuses;
   /// Number of non-OK entries in statuses.
   uint32_t failed = 0;
-  /// Sum of per-query num_matches (successful queries only).
-  uint64_t total_matches = 0;
-  /// Sum of per-query num_enumerations (successful queries only).
-  uint64_t total_enumerations = 0;
-  /// Intersection-core work aggregates over successful queries (see
-  /// EnumerateResult): slice intersections, merge/gallop comparisons, and
-  /// summed local-candidate sizes with their sample count
-  /// (total_local_candidates / total_local_candidate_sets = batch average
-  /// local-candidate size).
-  uint64_t total_intersections = 0;
-  uint64_t total_probe_comparisons = 0;
-  uint64_t total_local_candidates = 0;
-  uint64_t total_local_candidate_sets = 0;
-  /// Of total_intersections, how many the SIMD / bitmap kernel families
-  /// served (see EnumerateResult).
-  uint64_t total_simd_intersections = 0;
-  uint64_t total_bitmap_intersections = 0;
-  /// Work-stealing scheduler aggregates. Steals/splits are summed across
-  /// queries (zero for serial batches); max_segment_depth and
-  /// max_worker_work are batch maxima; min_worker_work is the minimum
-  /// over queries that did any enumeration work (serial queries report
-  /// min == max == their own work total). Schedule-dependent diagnostics,
-  /// not covered by the bit-identity contract.
-  uint64_t total_steals = 0;
-  uint64_t total_splits = 0;
-  size_t max_segment_depth = 0;
-  uint64_t min_worker_work = 0;
-  uint64_t max_worker_work = 0;
   /// Number of queries whose deadline fired before completion.
   uint32_t unsolved = 0;
   /// Candidate-cache hits/misses incurred by this batch.

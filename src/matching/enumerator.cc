@@ -1085,17 +1085,10 @@ Result<EnumerateResult> Enumerator::RunParallel(
   merged.num_enumerations = 1;  // the root recursive call, charged once
   std::vector<EmissionBlock*> blocks;
   for (std::unique_ptr<FrontierSegment>& sp : segments) {
-    EnumerateResult& r = sp->result;
-    merged.num_matches += r.num_matches;
-    merged.num_enumerations += r.num_enumerations;
-    merged.num_intersections += r.num_intersections;
-    merged.num_probe_comparisons += r.num_probe_comparisons;
-    merged.local_candidates_total += r.local_candidates_total;
-    merged.local_candidate_sets += r.local_candidate_sets;
-    merged.num_simd_intersections += r.num_simd_intersections;
-    merged.num_bitmap_intersections += r.num_bitmap_intersections;
-    merged.timed_out |= r.timed_out;
-    merged.max_segment_depth = std::max(merged.max_segment_depth, sp->depth);
+    merged.Merge(sp->result);
+    merged.timed_out |= sp->result.timed_out;
+    merged.max_segment_depth =
+        std::max<uint64_t>(merged.max_segment_depth, sp->depth);
     for (EmissionBlock& block : sp->blocks) blocks.push_back(&block);
   }
   std::sort(blocks.begin(), blocks.end(),

@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "common/timer.h"
 #include "matching/candidate_set.h"
+#include "matching/enum_stats.h"
 #include "matching/enum_workspace.h"
 
 namespace rlqvo {
@@ -55,74 +56,21 @@ struct EnumerateOptions {
   uint32_t parallel_threads = 0;
 };
 
-/// \brief Outcome of one enumeration run.
-struct EnumerateResult {
-  /// Number of embeddings found (capped by match_limit).
-  uint64_t num_matches = 0;
-  /// #enum (Definition II.6): recursive calls of the enumeration procedure.
-  uint64_t num_enumerations = 0;
-  /// True iff the time limit fired before completion. num_matches and
-  /// num_enumerations then hold the partial counts at the cutoff.
+/// \brief Outcome of one enumeration run: the EnumStats counters plus the
+/// run's stop reasons, wall time and (optionally) embeddings.
+///
+/// A parallel run's search-work counters are summed across all of its
+/// segments (EnumStats::Merge); its schedule counters come from the
+/// scheduler. The counters' names and semantics live in EnumStats.
+struct EnumerateResult : EnumStats {
+  /// True iff the time limit fired before completion. The counters then
+  /// hold the partial counts at the cutoff.
   bool timed_out = false;
   /// True iff the match limit fired (num_matches == match_limit).
   bool hit_match_limit = false;
   /// Wall-clock seconds spent enumerating (including per-query workspace
   /// setup).
   double enum_time_seconds = 0.0;
-
-  /// \name Intersection-core work counters.
-  /// The local-candidate computation intersects label-restricted adjacency
-  /// slices; these track how much of that work a run performed, so perf
-  /// trajectories can follow work done rather than just wall time. In a
-  /// parallel run they are summed across all chunk subtasks.
-  /// @{
-  /// Pairwise sorted-set intersections executed (an Extend with k >= 2
-  /// mapped backward neighbors performs k-1; k == 1 performs none — the
-  /// slice is used directly).
-  uint64_t num_intersections = 0;
-  /// Element comparisons spent inside the merge/gallop intersection loops.
-  uint64_t num_probe_comparisons = 0;
-  /// Sum of local-candidate set sizes (slice or intersection output, before
-  /// the visited/candidate-membership test). Divide by
-  /// local_candidate_sets for the average.
-  uint64_t local_candidates_total = 0;
-  /// Number of local-candidate sets computed (Extend calls with at least
-  /// one mapped backward neighbor).
-  uint64_t local_candidate_sets = 0;
-  /// Of num_intersections, how many a SIMD kernel served (shuffle merge or
-  /// SIMD-probe gallop — see IntersectDispatch). Embeddings and the shape
-  /// counters above are bit-identical whatever kernel serves; only
-  /// num_probe_comparisons is kernel-specific (each kernel charges the work
-  /// it actually performed, deterministically for a given input).
-  uint64_t num_simd_intersections = 0;
-  /// Of num_intersections, how many a bitmap path served (word-parallel AND
-  /// or bit-probe against a dense slice's sidecar).
-  uint64_t num_bitmap_intersections = 0;
-  /// @}
-
-  /// \name Work-stealing scheduler diagnostics (parallel runs only).
-  /// Unlike the work counters above, these describe the *schedule*, not the
-  /// search: they vary with thread count, timing and steal order, and are
-  /// deliberately excluded from the bit-identity contract. Serial runs
-  /// report zero steals/splits/max_segment_depth and min == max == the
-  /// run's own work-unit total.
-  /// @{
-  /// Cross-deque segment steals (a drained worker taking another worker's
-  /// queued segment). Zero means static seeding alone balanced the load.
-  uint64_t num_steals = 0;
-  /// Lazy splits performed (an owner shedding the tail half of a live
-  /// sibling range into a stealable segment). Counts runtime splits only,
-  /// not the initial root seeding.
-  uint64_t num_splits = 0;
-  /// Deepest order position any executed segment resumed at (0 = all work
-  /// stayed in root-level segments).
-  size_t max_segment_depth = 0;
-  /// Minimum / maximum per-worker charged work units across the workers
-  /// that participated in the run — the load-balance spread the scheduler
-  /// achieved (equal values = perfectly even).
-  uint64_t min_worker_work = 0;
-  uint64_t max_worker_work = 0;
-  /// @}
 
   /// Embeddings as query-vertex-indexed data-vertex vectors, if requested.
   std::vector<std::vector<VertexId>> embeddings;

@@ -110,20 +110,8 @@ Result<MatchRunStats> RunOrderedEnumeration(
                            workspace, &deadline);
   RLQVO_RETURN_NOT_OK(enum_run.status());
   EnumerateResult enum_result = std::move(enum_run).ValueOrDie();
+  static_cast<EnumStats&>(stats) = enum_result;
   stats.enum_time_seconds = enum_result.enum_time_seconds;
-  stats.num_matches = enum_result.num_matches;
-  stats.num_enumerations = enum_result.num_enumerations;
-  stats.num_intersections = enum_result.num_intersections;
-  stats.num_probe_comparisons = enum_result.num_probe_comparisons;
-  stats.local_candidates_total = enum_result.local_candidates_total;
-  stats.local_candidate_sets = enum_result.local_candidate_sets;
-  stats.num_simd_intersections = enum_result.num_simd_intersections;
-  stats.num_bitmap_intersections = enum_result.num_bitmap_intersections;
-  stats.num_steals = enum_result.num_steals;
-  stats.num_splits = enum_result.num_splits;
-  stats.max_segment_depth = enum_result.max_segment_depth;
-  stats.min_worker_work = enum_result.min_worker_work;
-  stats.max_worker_work = enum_result.max_worker_work;
   stats.solved = !enum_result.timed_out;
   stats.hit_match_limit = enum_result.hit_match_limit;
   stats.embeddings = std::move(enum_result.embeddings);

@@ -22,36 +22,14 @@ struct MatcherConfig {
   std::string name;
 };
 
-/// \brief Per-query outcome, with the phase time breakdown the paper reports
-/// (t = t_filter + t_order + t_enum, Sec IV-B).
-struct MatchRunStats {
+/// \brief Per-query outcome: the enumeration's EnumStats counters (copied
+/// from its EnumerateResult) plus the phase time breakdown the paper
+/// reports (t = t_filter + t_order + t_enum, Sec IV-B).
+struct MatchRunStats : EnumStats {
   double filter_time_seconds = 0.0;
   double order_time_seconds = 0.0;
   double enum_time_seconds = 0.0;
   double total_time_seconds = 0.0;
-  /// Embeddings found (capped by EnumerateOptions::match_limit).
-  uint64_t num_matches = 0;
-  /// #enum (Definition II.6): recursive enumeration calls.
-  uint64_t num_enumerations = 0;
-  /// Intersection-core work counters (see EnumerateResult for semantics):
-  /// pairwise slice intersections, comparisons spent in merge/gallop loops,
-  /// and the summed/sample-counted local-candidate sizes.
-  uint64_t num_intersections = 0;
-  uint64_t num_probe_comparisons = 0;
-  uint64_t local_candidates_total = 0;
-  uint64_t local_candidate_sets = 0;
-  /// Of num_intersections, how many the SIMD / bitmap kernel families
-  /// served (see EnumerateResult).
-  uint64_t num_simd_intersections = 0;
-  uint64_t num_bitmap_intersections = 0;
-  /// Work-stealing scheduler diagnostics (see EnumerateResult): segment
-  /// steals/splits, deepest resumed segment, per-worker work spread.
-  /// Schedule-dependent — excluded from the bit-identity contract.
-  uint64_t num_steals = 0;
-  uint64_t num_splits = 0;
-  size_t max_segment_depth = 0;
-  uint64_t min_worker_work = 0;
-  uint64_t max_worker_work = 0;
   /// Query finished within the time limit ("solved", Sec IV-A).
   bool solved = true;
   /// The matching order was served from the engine's order cache (or a

@@ -259,7 +259,7 @@ TEST(QueryEngineTest, MatchBatchEqualsSequentialMatcher) {
     }
     total_matches += sequential.num_matches;
   }
-  EXPECT_EQ(batch.total_matches, total_matches);
+  EXPECT_EQ(batch.num_matches, total_matches);
   EXPECT_EQ(batch.unsolved, 0u);
 }
 
@@ -396,10 +396,42 @@ TEST(QueryEngineTest, BatchWithInvalidQueryReturnsPartialResults) {
         << "query " << i;
     expected_total += sequential.num_matches;
   }
-  EXPECT_EQ(batch.total_matches, expected_total);
+  EXPECT_EQ(batch.num_matches, expected_total);
 
   // The single-query wrapper surfaces the per-query failure as its status.
   EXPECT_FALSE(engine->Match(Graph()).ok());
+}
+
+TEST(QueryEngineTest, BatchStatsAreMergeFoldOfSuccessfulQueries) {
+  Graph data = RandomData(47, 120, 5.0, 3);
+  std::vector<Graph> queries = MakeQueries(data, 950, 6, 5);
+  queries.insert(queries.begin() + 2, Graph());  // empty query: rejected
+
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  auto engine = MakeEngineByName("Hybrid", std::make_shared<const Graph>(data),
+                                 engine_options)
+                    .ValueOrDie();
+  // Mix serial and intra-query parallel queries so the schedule fields
+  // (steals, splits, segment depth, per-worker work) take both shapes.
+  BatchOptions options;
+  options.per_query.resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    options.per_query[i].match_limit = 0;
+    options.per_query[i].parallel_threads = i % 2 == 0 ? 0 : 3;
+  }
+  const BatchResult batch = engine->MatchBatch(queries, options).ValueOrDie();
+  ASSERT_EQ(batch.failed, 1u);
+
+  // The failed query's default-constructed entry must not enter the fold.
+  EnumStats fold;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (batch.statuses[i].ok()) fold.Merge(batch.per_query[i]);
+  }
+  EXPECT_EQ(testing_util::EnumStatsFields(batch),
+            testing_util::EnumStatsFields(fold));
+  EXPECT_GT(batch.num_matches, 0u);
+  EXPECT_GT(batch.max_worker_work, 0u);
 }
 
 TEST(QueryEngineTest, PerQueryOptionsSizeMismatchIsRejected) {
@@ -419,7 +451,8 @@ TEST(QueryEngineTest, EmptyBatchAndSingleQueryWrapper) {
                     .ValueOrDie();
   auto empty = engine->MatchBatch({}).ValueOrDie();
   EXPECT_TRUE(empty.per_query.empty());
-  EXPECT_EQ(empty.total_matches, 0u);
+  EXPECT_EQ(testing_util::EnumStatsFields(empty),
+            testing_util::EnumStatsFields(EnumStats{}));
 
   Graph q = RandomQuery(data, 600, 4);
   const MatchRunStats via_engine = engine->Match(q).ValueOrDie();

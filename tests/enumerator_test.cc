@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "matching/enumerator.h"
 #include "matching/filters.h"
@@ -11,6 +14,7 @@
 namespace rlqvo {
 namespace {
 
+using testing_util::EnumStatsFields;
 using testing_util::IsIsomorphism;
 using testing_util::RandomData;
 using testing_util::RandomQuery;
@@ -309,6 +313,83 @@ TEST(EnumeratorTest, EmbeddingSetsMatchBruteForceExactly) {
   std::set<std::vector<VertexId>> actual_set(result.embeddings.begin(),
                                              result.embeddings.end());
   EXPECT_EQ(actual_set, expected_set);
+}
+
+// --- EnumStats ---
+
+constexpr size_t VisitedFieldCount() {
+  size_t count = 0;
+  EnumStats{}.ForEachField([&](std::string_view, uint64_t, bool) { ++count; });
+  return count;
+}
+
+// A counter added to EnumStats but not to ForEachField would silently drop
+// out of every bench JSON and whole-struct test comparison.
+static_assert(sizeof(EnumStats) == VisitedFieldCount() * sizeof(uint64_t),
+              "every EnumStats field must be visited by ForEachField");
+
+TEST(EnumStatsTest, VisitorWalksEveryFieldOnceInDeclarationOrder) {
+  // Aggregate initialization assigns 1..13 in declaration order, so the
+  // visitor must read back exactly that sequence, with distinct names.
+  const EnumStats stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  std::vector<uint64_t> values;
+  std::set<std::string> names;
+  std::vector<bool> deterministic;
+  stats.ForEachField([&](std::string_view name, uint64_t value, bool det) {
+    values.push_back(value);
+    names.emplace(name);
+    deterministic.push_back(det);
+  });
+  EXPECT_EQ(values, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                           12, 13}));
+  EXPECT_EQ(names.size(), values.size());
+  // The eight search-work counters are covered by the bit-identity
+  // contract; the five schedule fields are not.
+  EXPECT_EQ(deterministic,
+            (std::vector<bool>{true, true, true, true, true, true, true, true,
+                               false, false, false, false, false}));
+}
+
+TEST(EnumStatsTest, MergeSumsCountersAndTakesMaxima) {
+  EnumStats a{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const EnumStats b{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 7,
+                    20, 30};
+  a.Merge(b);
+  const EnumStats expected{101, 202, 303, 404, 505, 606, 707, 808, 909, 1010,
+                           /*max_segment_depth=*/11, /*min_worker_work=*/12,
+                           /*max_worker_work=*/30};
+  EXPECT_EQ(EnumStatsFields(a), EnumStatsFields(expected));
+
+  // A default-constructed EnumStats is the identity of Merge.
+  EnumStats fold;
+  fold.Merge(b);
+  EXPECT_EQ(EnumStatsFields(fold), EnumStatsFields(b));
+}
+
+TEST(EnumStatsTest, MinWorkerWorkIsMinOverRunsThatDidWork) {
+  auto run = [](uint64_t min_work, uint64_t max_work) {
+    EnumStats s;
+    s.min_worker_work = min_work;
+    s.max_worker_work = max_work;
+    return s;
+  };
+  EnumStats fold;
+  fold.Merge(run(0, 0));  // no work yet: must not pin the minimum at 0
+  fold.Merge(run(5, 9));
+  EXPECT_EQ(fold.min_worker_work, 5u);
+  EXPECT_EQ(fold.max_worker_work, 9u);
+  fold.Merge(run(0, 0));  // a zero-work run later is ignored too
+  EXPECT_EQ(fold.min_worker_work, 5u);
+  fold.Merge(run(3, 4));
+  EXPECT_EQ(fold.min_worker_work, 3u);
+  EXPECT_EQ(fold.max_worker_work, 9u);
+  fold.Merge(run(7, 12));
+  EXPECT_EQ(fold.min_worker_work, 3u);
+  EXPECT_EQ(fold.max_worker_work, 12u);
+  // A run that did work but left one worker idle reports a real 0.
+  fold.Merge(run(0, 6));
+  EXPECT_EQ(fold.min_worker_work, 0u);
+  EXPECT_EQ(fold.max_worker_work, 12u);
 }
 
 }  // namespace

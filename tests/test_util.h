@@ -1,10 +1,14 @@
 #pragma once
 
+#include <map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/query_sampler.h"
+#include "matching/enum_stats.h"
 
 namespace rlqvo {
 namespace testing_util {
@@ -43,6 +47,42 @@ inline bool IsIsomorphism(const Graph& query, const Graph& data,
     }
   }
   return true;
+}
+
+/// Every EnumStats counter by name, so a test compares whole structs in one
+/// EXPECT_EQ and a failure prints the fields that differ.
+inline std::map<std::string, uint64_t> EnumStatsFields(const EnumStats& stats) {
+  std::map<std::string, uint64_t> fields;
+  stats.ForEachField([&](std::string_view name, uint64_t value, bool) {
+    fields.emplace(name, value);
+  });
+  return fields;
+}
+
+/// The counters the bit-identity contract covers: EnumStatsFields without
+/// the schedule fields.
+inline std::map<std::string, uint64_t> DeterministicFields(
+    const EnumStats& stats) {
+  std::map<std::string, uint64_t> fields;
+  stats.ForEachField(
+      [&](std::string_view name, uint64_t value, bool deterministic) {
+        if (deterministic) fields.emplace(name, value);
+      });
+  return fields;
+}
+
+/// The deterministic counters every intersection kernel agrees on: the
+/// comparison charge and the SIMD/bitmap dispatch counts are each kernel's
+/// own, so they are dropped.
+inline std::map<std::string, uint64_t> KernelInvariantFields(
+    const EnumStats& stats) {
+  std::map<std::string, uint64_t> fields = DeterministicFields(stats);
+  for (const char* kernel_specific :
+       {"num_probe_comparisons", "num_simd_intersections",
+        "num_bitmap_intersections"}) {
+    fields.erase(kernel_specific);
+  }
+  return fields;
 }
 
 }  // namespace testing_util
