@@ -25,10 +25,9 @@
 // land in BENCH_intersection.json.
 //
 // --smoke shrinks everything for CI: a seconds-long run that still verifies
-// probe/intersection agreement and JSON emission.
+// probe/intersection agreement; it writes no JSON.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -143,7 +142,7 @@ struct ProbeEnumerator {
       }
     }
     for (VertexId v : data->neighbors(pivot)) {
-      if (ws->Visited(v) || !ws->InCandidates(*candidates, u, v)) continue;
+      if (ws->Visited(v) || !ws->InCandidates(u, v)) continue;
       bool adjacent_to_all = true;
       for (const auto& b : backward) {
         const VertexId vb = mapping[b.u];
@@ -190,8 +189,8 @@ struct CaseResult {
   EnumStats accumulated;  // Merge fold over the query set (auto kernels)
 };
 
-CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
-                   bool smoke) {
+CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts) {
+  const bool smoke = opts.smoke;
   const uint32_t base = smoke ? 2000 : 32768;
   const uint32_t n =
       std::max(512u, static_cast<uint32_t>(base * c.scale));
@@ -367,7 +366,8 @@ std::vector<std::pair<Graph::SliceView, Graph::SliceView>> HarvestHubPairs(
 }
 
 void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
-                      const BenchOptions& opts, bool smoke) {
+                      const BenchOptions& opts) {
+  const bool smoke = opts.smoke;
   struct KernelConfig {
     std::string name;
     bool power_law;
@@ -497,12 +497,8 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
 
 int main(int argc, char** argv) {
   BenchOptions opts = BenchOptions::FromArgs(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = opts.smoke;
   PrintBanner("Enumeration core: probe loop vs slice intersection", opts);
-  if (smoke) std::printf("# --smoke: reduced sizes for CI\n");
 
   std::vector<std::pair<std::string, double>> metrics;
   CrossoverMicrobench(&metrics, smoke);
@@ -530,7 +526,7 @@ int main(int argc, char** argv) {
               "auto", "vs probe", "vs scal", "simd/bitmap");
   double skewed_full_speedup = 0.0;
   for (const WorkloadCase& c : cases) {
-    const CaseResult r = RunCase(c, opts, smoke);
+    const CaseResult r = RunCase(c, opts);
     std::printf("%16s %10.1f %10.1f %10.1f %7.2fx %7.2fx %5llu/%llu\n",
                 c.name.c_str(), r.probe_us_per_query, r.scalar_us_per_query,
                 r.intersect_us_per_query, r.speedup, r.kernel_speedup,
@@ -553,7 +549,7 @@ int main(int argc, char** argv) {
               skewed_full_speedup >= 2.0 ? "(PASS >= 2x)"
                                          : "(below 2x bar)");
 
-  KernelMicrobench(&metrics, opts, smoke);
+  KernelMicrobench(&metrics, opts);
 
   // The auto-kernel cost-model policy in force for this run: SIMD merge
   // elements retired per probe unit (bitmap word probed/ANDed) and the

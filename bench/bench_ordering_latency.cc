@@ -20,10 +20,9 @@
 // lower because the shared env walk and the full-mask first step dilute
 // the forward savings). Metrics land in BENCH_ordering_latency.json;
 // --smoke shrinks query counts/reps for the CI smoke step but keeps the
-// full size range.
+// full size range; it writes no JSON.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,13 +137,9 @@ std::vector<double> TimeOrdering(
 
 int main(int argc, char** argv) {
   BenchOptions opts = BenchOptions::FromArgs(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = opts.smoke;
   PrintBanner("Ordering latency: heuristics vs RL-QVO autograd vs inference",
               opts);
-  if (smoke) std::printf("# --smoke: reduced sizes for CI\n");
 
   // Mid-size labeled data graph; ordering cost depends on |V(q)|, not
   // |V(G)|, so the graph only needs to be big enough for realistic

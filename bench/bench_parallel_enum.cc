@@ -31,13 +31,12 @@
 // min(full count, cap) matches (checked fatally).
 //
 // --smoke shrinks everything for CI: a seconds-long run that still
-// verifies serial/parallel agreement (full and capped) and JSON emission,
-// and — when the CI machine has > 1 core — fatally asserts that steals
+// verifies serial/parallel agreement (full and capped) without writing
+// JSON, and — when the CI machine has > 1 core — fatally asserts that steals
 // actually fire on the power-law config (a scheduler that never steals is
 // static root chunking with overhead).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,8 +171,8 @@ LegResult TimeLeg(const WorkloadCase& c, const Graph& data,
   return out;
 }
 
-CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
-                   bool smoke) {
+CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts) {
+  const bool smoke = opts.smoke;
   // Full enumeration cost grows explosively with graph size; the base is
   // sized so a scale-1.0 case stays near ~0.1-1 s of serial work per query
   // on one core (heavy enough for chunking to matter, bounded enough to
@@ -247,15 +246,11 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
 
 int main(int argc, char** argv) {
   BenchOptions opts = BenchOptions::FromArgs(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = opts.smoke;
   if (smoke) opts.scale = std::min(opts.scale, 1.0);
   PrintBanner("Intra-query parallel enumeration vs serial", opts);
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("# hardware_concurrency=%u (speedup is capped by cores)\n", hw);
-  if (smoke) std::printf("# --smoke: reduced sizes for CI\n");
 
   const std::vector<WorkloadCase> cases = {
       {"dense", false, 4, 0.0, 16.0, static_cast<uint32_t>(smoke ? 6 : 7)},
@@ -293,7 +288,7 @@ int main(int argc, char** argv) {
   };
   std::vector<std::pair<std::string, CaseResult>> results;
   for (const WorkloadCase& c : cases) {
-    CaseResult r = RunCase(c, opts, smoke);
+    CaseResult r = RunCase(c, opts);
     const double speedup_4t = report_leg(c.name, "", c.name, r.full);
     if (r.match_cap != 0) {
       metrics.emplace_back("match_cap_" + c.name,

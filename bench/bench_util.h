@@ -28,6 +28,10 @@ struct BenchOptions {
   double train_budget = 120.0;   ///< wall-clock cap per training run
   uint64_t seed = 7;
   bool full = false;
+  /// --smoke: the seconds-long CI configuration of the benches that have
+  /// one. A smoke run writes no BENCH_<name>.json, so it can never
+  /// overwrite a committed snapshot with smoke-sized numbers.
+  bool smoke = false;
   bool json = true;              ///< write a BENCH_<name>.json results file
 
   static BenchOptions FromArgs(int argc, char** argv) {
@@ -59,6 +63,9 @@ struct BenchOptions {
         opts.time_limit = std::atof(v);
       } else if (const char* v = value("--seed=")) {
         opts.seed = std::strtoull(v, nullptr, 10);
+      } else if (arg == "--smoke") {
+        opts.smoke = true;
+        opts.json = false;
       } else if (arg == "--no-json") {
         opts.json = false;
       }
@@ -82,6 +89,7 @@ inline void PrintBanner(const char* title, const BenchOptions& opts) {
       opts.scale, opts.queries_per_set, opts.train_epochs,
       static_cast<unsigned long long>(opts.match_limit), opts.time_limit,
       opts.full ? " (FULL)" : "");
+  if (opts.smoke) std::printf("# --smoke: reduced sizes for CI, no JSON\n");
 }
 
 /// Builds a workload restricted to the given sizes (empty = dataset default).
@@ -196,7 +204,7 @@ inline void AppendOrderingMetrics(
 /// build defined RLQVO_REPO_ROOT, a copy lands at the repository root so
 /// committed bench trajectories track results without a manual copy step
 /// (the double write when CWD *is* the root is harmless — same bytes).
-/// A no-op when opts.json is false (--no-json).
+/// A no-op when opts.json is false (--no-json or --smoke).
 inline void WriteBenchJsonTo(
     const std::string& path, const std::string& name, const BenchOptions& opts,
     const std::vector<std::pair<std::string, double>>& metrics) {

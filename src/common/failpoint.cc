@@ -59,7 +59,8 @@ constexpr CatalogEntry kCatalog[] = {
     {"pool.submit", StatusCode::kResourceExhausted,
      "ThreadPool queue rejects the task; it runs inline instead"},
     {"workspace.grow", StatusCode::kResourceExhausted,
-     "EnumeratorWorkspace stamp growth fails; sparse fallback"},
+     "CandidateMask growth (enumerator workspace or refinement filter) "
+     "fails; binary-search membership"},
 };
 
 constexpr int kNumSites = static_cast<int>(std::size(kCatalog));

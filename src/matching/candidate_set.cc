@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+
+#include "common/failpoint.h"
 
 namespace rlqvo {
 
@@ -39,6 +42,44 @@ std::string CandidateSet::ToString() const {
     out << "C(" << u << ")=" << sets_[u].size();
   }
   return out.str();
+}
+
+bool CandidateMask::Reset(const CandidateSet& cs, uint32_t num_data_vertices) {
+  const uint32_t nq = cs.num_query_vertices();
+  cs_ = &cs;
+  for (size_t w : touched_) bits_[w] = 0;
+  touched_.clear();
+
+  words_ = (nq + 63) / 64;
+  const size_t size = words_ * num_data_vertices;
+  active_ = true;
+  if (bits_.size() < size) {
+    // Growth is the one allocation that scales with |V(G)|, so it is the
+    // degradation point: charge the *whole* new footprint (replacing the
+    // previous footprint's charge) and, when the budget or the
+    // `workspace.grow` failpoint denies it, fall back to binary search.
+    MemoryCharge charge =
+        MemoryBudget::Global().TryCharge(size * sizeof(uint64_t));
+    if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
+      active_ = false;
+      return false;
+    }
+    charge_ = std::move(charge);
+    bits_.resize(size, 0);
+    ++grows_;
+  }
+  for (VertexId u = 0; u < nq; ++u) {
+    const size_t word = u / 64;
+    const uint64_t bit = uint64_t{1} << (u % 64);
+    for (VertexId v : cs.candidates(u)) {
+      uint64_t& cell = bits_[static_cast<size_t>(v) * words_ + word];
+      if (cell == 0) {
+        touched_.push_back(static_cast<size_t>(&cell - bits_.data()));
+      }
+      cell |= bit;
+    }
+  }
+  return true;
 }
 
 }  // namespace rlqvo

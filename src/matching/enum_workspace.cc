@@ -1,9 +1,6 @@
 #include "matching/enum_workspace.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "common/failpoint.h"
 
 namespace rlqvo {
 
@@ -11,7 +8,7 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
                                     const CandidateSet& candidates,
                                     const std::vector<VertexId>& order) {
   const uint32_t nq = query.num_vertices();
-  const size_t nv = data.num_vertices();
+  const uint32_t nv = data.num_vertices();
 
   // Directedness is part of the matching semantics (an undirected query
   // edge means "one symmetric edge", a directed one means "this arc"), so a
@@ -89,54 +86,12 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   }
   if (visited_stamp_.size() < nv) visited_stamp_.resize(nv, 0);
 
-  // Clear the previous query's mask bits: only the words it turned nonzero.
-  for (size_t w : mask_touched_) mask_[w] = 0;
-  mask_touched_.clear();
-
-  use_mask_ = mode_ != MembershipMode::kForceBinarySearch;
-  mask_words_ = (nq + 63) / 64;
-  const size_t mask_size = mask_words_ * nv;
-  if (use_mask_ && mask_.size() < mask_size) {
-    // Growth is the one allocation that scales with |V(G)|, so it is the
-    // degradation point: charge the *whole* new footprint (replacing the
-    // previous footprint's charge) and, when the budget or the
-    // `workspace.grow` failpoint denies it, fall back to binary-search
-    // membership — identical results, slower membership check. Only a
-    // caller that explicitly pinned kForceStamped gets an error instead.
-    const size_t mask_bytes = mask_size * sizeof(uint64_t);
-    MemoryCharge charge = MemoryBudget::Global().TryCharge(mask_bytes);
-    if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
-      if (mode_ == MembershipMode::kForceStamped) {
-        return Status::ResourceExhausted(
-            "membership-mask growth denied (" + std::to_string(mask_bytes) +
-            " bytes) with membership pinned to kForceStamped");
-      }
-      use_mask_ = false;
-      ++stats_.sparse_fallbacks;
-    } else {
-      mask_charge_ = std::move(charge);
-      mask_.resize(mask_size, 0);
-      ++stats_.mask_grows;
-      stats_.mask_bytes = mask_bytes;
-    }
-  }
-  if (use_mask_) {
-    for (VertexId u = 0; u < nq; ++u) {
-      const size_t word = u / 64;
-      const uint64_t bit = uint64_t{1} << (u % 64);
-      for (VertexId v : candidates.candidates(u)) {
-        uint64_t& cell = mask_[static_cast<size_t>(v) * mask_words_ + word];
-        if (cell == 0) {
-          mask_touched_.push_back(static_cast<size_t>(&cell - mask_.data()));
-        }
-        cell |= bit;
-      }
-    }
-    ++stats_.mask_prepares;
-  }
-
+  const bool masked = mask_.Reset(candidates, nv);
+  ++(masked ? stats_.mask_prepares : stats_.sparse_fallbacks);
+  stats_.mask_grows = mask_.grows();
+  stats_.mask_bytes = mask_.bytes();
   ++stats_.prepares;
-  stats_.last_mask = use_mask_;
+  stats_.last_mask = masked;
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/status.h"
 #include "matching/candidate_set.h"
 
@@ -18,16 +17,14 @@ namespace rlqvo {
 /// workspace replaces that with state whose *steady-state* per-query cost is
 /// O(|V(q)| + Σ|C(u)|):
 ///
-/// - **Membership bitmask.** Each data vertex v owns ⌈nq/64⌉ uint64 words;
-///   bit u says v ∈ C(u). Prepare() sets the Σ|C(u)| candidate bits and
-///   records every word it turned nonzero, and the next Prepare() zeroes
-///   exactly those words, so no per-query work scales with |V(G)|. The
-///   membership test is one load and one AND on every graph; the footprint
-///   is 8·⌈nq/64⌉·|V(G)| bytes, grown to the high-water mark and kept.
-/// - **Binary-search fallback.** When the memory budget (or the
-///   `workspace.grow` failpoint) denies the mask growth, membership falls
-///   back to CandidateSet::Contains — identical results, an O(log|C(u)|)
-///   check. kForceBinarySearch pins that path for tests.
+/// - **Membership bitmask.** One CandidateMask (candidate_set.h), the same
+///   structure the refinement filters use: each data vertex owns ⌈nq/64⌉
+///   uint64 words, bit u says v ∈ C(u). Prepare() clears the previous
+///   query's words and sets this query's Σ|C(u)| bits, so no per-query work
+///   scales with |V(G)|; the membership test is one load and one AND. When
+///   the memory budget (or the `workspace.grow` failpoint) denies the mask
+///   growth, membership falls back to CandidateSet::Contains — identical
+///   results, an O(log|C(u)|) check.
 /// - **Epoch-stamped visited marks.** The visited array stores a one-byte
 ///   epoch instead of a boolean. Prepare() bumps the epoch, instantly
 ///   invalidating every mark from previous queries without touching the
@@ -43,33 +40,19 @@ namespace rlqvo {
 /// (QueryEngine keeps one per ThreadPool worker).
 class EnumeratorWorkspace {
  public:
-  /// How candidate membership is answered during enumeration.
-  enum class MembershipMode {
-    /// The bitmask, degrading to binary search if its growth is denied
-    /// (default).
-    kAuto,
-    /// Always the bitmask (the mode's name predates the mask, which
-    /// replaced an epoch-stamp array); a denied growth makes Prepare fail
-    /// with kResourceExhausted instead of degrading.
-    kForceStamped,
-    /// Always binary-search CandidateSet::Contains. Zero setup beyond the
-    /// backward/mapping buffers.
-    kForceBinarySearch,
-  };
-
   /// Counters for benchmarks and reuse tests.
   struct Stats {
     uint64_t prepares = 0;       ///< total Prepare() calls (one per query)
     uint64_t mask_prepares = 0;  ///< prepares that used the bitmask
     uint64_t epoch_resets = 0;   ///< visited zero-fills from uint8 wrap
     uint64_t mask_grows = 0;     ///< bitmask reallocations
-    /// kAuto prepares that degraded to binary search because the memory
-    /// budget (or the `workspace.grow` failpoint) denied the mask growth.
+    /// Prepares that degraded to binary search because the memory budget
+    /// (or the `workspace.grow` failpoint) denied the mask growth.
     /// Results are identical either way; only the membership check gets
     /// slower.
     uint64_t sparse_fallbacks = 0;
     size_t mask_bytes = 0;   ///< current bitmask allocation
-    bool last_mask = false;  ///< membership mode of the last prepare
+    bool last_mask = false;  ///< whether the last prepare used the mask
   };
 
   EnumeratorWorkspace() = default;
@@ -89,14 +72,10 @@ class EnumeratorWorkspace {
                  const std::vector<VertexId>& order);
 
   /// \name Hot-path accessors used by the enumeration recursion.
-  /// Valid between a Prepare() and the next Prepare().
+  /// Valid between a Prepare() and the next Prepare(), while the prepared
+  /// CandidateSet is alive.
   /// @{
-  bool InCandidates(const CandidateSet& candidates, VertexId u,
-                    VertexId v) const {
-    if (!use_mask_) return candidates.Contains(u, v);
-    const uint64_t word = mask_[static_cast<size_t>(v) * mask_words_ + u / 64];
-    return ((word >> (u % 64)) & 1) != 0;
-  }
+  bool InCandidates(VertexId u, VertexId v) const { return mask_.Test(u, v); }
 
   bool Visited(VertexId v) const { return visited_stamp_[v] == epoch_; }
   void MarkVisited(VertexId v) { visited_stamp_[v] = epoch_; }
@@ -161,8 +140,6 @@ class EnumeratorWorkspace {
   std::vector<Graph::SliceView>& slice_scratch() { return slice_scratch_; }
   /// @}
 
-  void set_mode(MembershipMode mode) { mode_ = mode; }
-  MembershipMode mode() const { return mode_; }
   const Stats& stats() const { return stats_; }
 
   /// \name Parallel-run prepare dedupe (used by Enumerator::RunParallel).
@@ -179,13 +156,7 @@ class EnumeratorWorkspace {
   /// @}
 
  private:
-  MembershipMode mode_ = MembershipMode::kAuto;
-
-  // mask_[v * mask_words_ + u / 64] bit u % 64 set iff v ∈ C(u); only the
-  // words listed in mask_touched_ are nonzero between two Prepares.
-  std::vector<uint64_t> mask_;
-  std::vector<size_t> mask_touched_;
-  MemoryCharge mask_charge_;  // budget charge for mask_
+  CandidateMask mask_;  // bound to the prepared query's candidates
   // Visited marks equal to epoch_ mean "visited"; anything else (older
   // epochs, or 0 from the wrap-around clear and from unmarking) means "no".
   std::vector<uint8_t> visited_stamp_;  // |V(G)|
@@ -196,9 +167,7 @@ class EnumeratorWorkspace {
   std::vector<Graph::SliceView> slice_scratch_;
   std::vector<uint8_t> placed_;  // scratch for the backward build
 
-  size_t mask_words_ = 0;  // ⌈nq/64⌉ for the current query
-  uint8_t epoch_ = 0;      // 1..255 once prepared; 0 marks "never stamped"
-  bool use_mask_ = false;
+  uint8_t epoch_ = 0;  // 1..255 once prepared; 0 marks "never stamped"
   uint64_t parallel_run_token_ = 0;  // see parallel_run_token()
   Stats stats_;
 };

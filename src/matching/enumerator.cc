@@ -525,7 +525,7 @@ struct EnumContext {
   /// used, and (for local-candidate levels) a member of C(u).
   bool Accepts(VertexId u, VertexId v, bool membership) const {
     return !ws->Visited(v) &&
-           (!membership || ws->InCandidates(*candidates, u, v));
+           (!membership || ws->InCandidates(u, v));
   }
 
   /// Appends the current mapping as one emitted embedding. `leaf_index` is

@@ -123,75 +123,25 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
   return result;
 }
 
-/// \brief Reusable candidate-membership structure for the refinement
-/// filters' `v in C(u)` tests.
+/// The refinement filters' `v in C(u)` tests go through the same
+/// CandidateMask the enumerator uses: Reset() sets the Σ|C(u)| live cells,
+/// Clear() drops a rejected candidate at once, and growth is charged to
+/// the MemoryBudget like the workspace's. When growth is denied, the tests
+/// fall back to binary search in the live CandidateSet. The fallback is
+/// exact for both refinement loops because (w, x) is only ever tested for
+/// w != u while vertex u's candidates are being decided, and every
+/// earlier vertex's removals have already been applied to the CandidateSet
+/// via Set() — pending Clears exist only on row u, which is never read.
 ///
-/// The seed allocated and zeroed an nq × |V(G)| vector<bool> on every
-/// GQLFilter call and every DagDpFilter sweep — the exact per-query
-/// pathology PR 2 removed from the enumerator. This is the filter-side
-/// equivalent of EnumeratorWorkspace's epoch trick: one thread_local
-/// instance (filters are stateless and shared across engine workers) is
-/// reused across calls; Reset() bumps a uint8 epoch — instantly
-/// invalidating all previous stamps, zero-filling only on the 255-call
-/// wrap — and stamps the Σ|C(u)| live cells. Clearing writes 0, which no
-/// epoch equals.
-///
-/// Above kMaxStampBytes the stamp array is not grown; Test() falls back to
-/// binary search in the live CandidateSet. The fallback is exact for both
-/// refinement loops because Test(w, x) is only ever issued for w != u while
-/// vertex u's candidates are being decided, and every earlier vertex's
-/// removals have already been applied to the CandidateSet via Set() —
-/// pending Clears exist only on row u, which is never read.
-class CandidateMembership {
- public:
-  static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
-
-  /// Binds the membership to `cs` and stamps its current contents.
-  void Reset(const CandidateSet& cs, uint32_t data_vertices) {
-    cs_ = &cs;
-    nv_ = data_vertices;
-    const size_t bytes =
-        static_cast<size_t>(cs.num_query_vertices()) * data_vertices;
-    stamped_ = bytes <= kMaxStampBytes;
-    if (!stamped_) return;
-    ++epoch_;
-    if (epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), uint8_t{0});
-      epoch_ = 1;
-    }
-    if (stamp_.size() < bytes) stamp_.resize(bytes, 0);
-    for (VertexId u = 0; u < cs.num_query_vertices(); ++u) {
-      uint8_t* row = stamp_.data() + static_cast<size_t>(u) * nv_;
-      for (VertexId v : cs.candidates(u)) row[v] = epoch_;
-    }
-  }
-
-  bool Test(VertexId u, VertexId v) const {
-    return stamped_ ? stamp_[static_cast<size_t>(u) * nv_ + v] == epoch_
-                    : cs_->Contains(u, v);
-  }
-  void Clear(VertexId u, VertexId v) {
-    if (stamped_) stamp_[static_cast<size_t>(u) * nv_ + v] = 0;
-  }
-
- private:
-  const CandidateSet* cs_ = nullptr;
-  std::vector<uint8_t> stamp_;
-  size_t nv_ = 0;
-  uint8_t epoch_ = 0;
-  bool stamped_ = false;
-};
-
-/// The per-thread instance the refinement filters reuse across queries.
 /// thread_local is the whole concurrency story: each engine worker (or
-/// caller thread) owns its instance outright, so the shared, stateless
-/// filter objects stay const-callable from any number of threads without a
-/// lock. The instance is rebound via Reset() at the top of every filter
-/// call; nothing leaks between queries except the (intentional) buffer
+/// caller thread) owns its mask outright, so the shared, stateless filter
+/// objects stay const-callable from any number of threads without a lock.
+/// The mask is rebound via Reset() at the top of every filter call;
+/// nothing leaks between queries except the (intentional) allocation
 /// high-water mark.
-CandidateMembership& ThreadLocalMembership() {
-  static thread_local CandidateMembership membership;
-  return membership;
+CandidateMask& ThreadLocalMask() {
+  static thread_local CandidateMask mask;
+  return mask;
 }
 
 /// Kuhn's augmenting-path bipartite matching. Left side: query neighbors
@@ -200,7 +150,7 @@ CandidateMembership& ThreadLocalMembership() {
 class SemiPerfectMatcher {
  public:
   bool Covers(const Graph& query, const Graph& data,
-              const CandidateMembership& bitmap, VertexId u, VertexId v) {
+              const CandidateMask& mask, VertexId u, VertexId v) {
     // neighbors-ok: relaxed necessary condition (skeleton adjacency).
     const auto left = query.neighbors(u);
     // neighbors-ok: relaxed necessary condition (skeleton adjacency).
@@ -210,22 +160,23 @@ class SemiPerfectMatcher {
     right_match_.assign(right.size(), -1);
     for (size_t i = 0; i < left.size(); ++i) {
       visited_.assign(right.size(), false);
-      if (!TryAugment(query, data, bitmap, left, right, i)) return false;
+      if (!TryAugment(query, data, mask, left, right, i)) return false;
     }
     return true;
   }
 
  private:
   bool TryAugment(const Graph& query, const Graph& data,
-                  const CandidateMembership& bitmap,
+                  const CandidateMask& mask,
                   std::span<const VertexId> left,
                   std::span<const VertexId> right, size_t i) {
+    const CandidateMask::Column in_candidates = mask.ColumnOf(left[i]);
     for (size_t j = 0; j < right.size(); ++j) {
       if (visited_[j]) continue;
-      if (!bitmap.Test(left[i], right[j])) continue;
+      if (!in_candidates.Has(right[j])) continue;
       visited_[j] = true;
       if (right_match_[j] < 0 ||
-          TryAugment(query, data, bitmap, left, right,
+          TryAugment(query, data, mask, left, right,
                      static_cast<size_t>(right_match_[j]))) {
         right_match_[j] = static_cast<int>(i);
         return true;
@@ -259,8 +210,8 @@ Result<CandidateSet> GQLFilter::Filter(const Graph& query,
   // neighborhood label sequences is exactly neighbor-label-count dominance.
   CandidateSet cs = NlfCandidates(query, data);
 
-  CandidateMembership& bitmap = ThreadLocalMembership();
-  bitmap.Reset(cs, data.num_vertices());
+  CandidateMask& mask = ThreadLocalMask();
+  mask.Reset(cs, data.num_vertices());
   SemiPerfectMatcher matcher;
   for (int round = 0; round < max_refinement_rounds_; ++round) {
     bool changed = false;
@@ -268,10 +219,10 @@ Result<CandidateSet> GQLFilter::Filter(const Graph& query,
       std::vector<VertexId> kept;
       kept.reserve(cs.candidates(u).size());
       for (VertexId v : cs.candidates(u)) {
-        if (matcher.Covers(query, data, bitmap, u, v)) {
+        if (matcher.Covers(query, data, mask, u, v)) {
           kept.push_back(v);
         } else {
-          bitmap.Clear(u, v);
+          mask.Clear(u, v);
           changed = true;
         }
       }
@@ -327,8 +278,8 @@ Result<CandidateSet> DagDpFilter::Filter(const Graph& query,
   };
 
   auto sweep = [&](bool top_down) {
-    CandidateMembership& bitmap = ThreadLocalMembership();
-    bitmap.Reset(cs, data.num_vertices());
+    CandidateMask& mask = ThreadLocalMask();
+    mask.Reset(cs, data.num_vertices());
     const auto& order = bfs_order;
     // The labeled constraints between u and a relevant DAG neighbor are
     // candidate-independent; gather them once per u, in neighbor-list order.
@@ -358,9 +309,10 @@ Result<CandidateSet> DagDpFilter::Filter(const Graph& query,
           // and hold witnesses to the remaining parallel-edge constraints.
           bool found = false;
           const auto& [dir0, elabel0] = dn.constraints.front();
+          const CandidateMask::Column in_candidates = mask.ColumnOf(dn.w);
           for (VertexId x :
                data.NeighborsWith(v, dir0, elabel0, query.label(dn.w))) {
-            if (!bitmap.Test(dn.w, x)) continue;
+            if (!in_candidates.Has(x)) continue;
             bool satisfies_all = true;
             for (size_t k = 1; k < dn.constraints.size(); ++k) {
               if (!data.HasEdge(v, x, dn.constraints[k].first,
@@ -382,7 +334,7 @@ Result<CandidateSet> DagDpFilter::Filter(const Graph& query,
         if (ok) {
           kept.push_back(v);
         } else {
-          bitmap.Clear(u, v);
+          mask.Clear(u, v);
         }
       }
       cs.Set(u, std::move(kept));

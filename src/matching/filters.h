@@ -51,7 +51,8 @@ class NLFFilter : public CandidateFilter {
 /// profiles, then global refinement that keeps v in C(u) only if the
 /// bipartite graph between N(u) and N(v) (edge (u',v') iff v' in C(u')) has
 /// a semi-perfect matching covering all of N(u). Refinement iterates until
-/// fixpoint or `max_refinement_rounds`.
+/// fixpoint or `max_refinement_rounds`. The `v' in C(u')` tests read a
+/// thread-local CandidateMask, the enumerator's membership bitmask.
 ///
 /// This is the filtering method Hybrid (Sun & Luo's recommended combination)
 /// uses, and the one RL-QVO inherits.
@@ -71,7 +72,8 @@ class GQLFilter : public CandidateFilter {
 /// builds a BFS DAG of the query rooted at the vertex minimising
 /// |C_LDF(u)|/d(u), then alternately sweeps the DAG top-down and bottom-up,
 /// keeping v in C(u) only if every DAG parent (resp. child) u' of u has a
-/// candidate adjacent to v. Used as the candidate generator for VEQ.
+/// candidate adjacent to v. Used as the candidate generator for VEQ. Its
+/// sweeps test membership through the same CandidateMask as GQLFilter.
 class DagDpFilter : public CandidateFilter {
  public:
   explicit DagDpFilter(int num_sweeps = 3) : num_sweeps_(num_sweeps) {}

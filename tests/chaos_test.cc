@@ -330,16 +330,12 @@ TEST_F(ChaosTest, MemoryStarvationDegradesGracefullyWithIdenticalResults) {
   EXPECT_EQ(lean.num_matches, rich_matches);
 }
 
-// A workspace explicitly pinned to the mask membership path cannot
-// degrade; budget denial must surface as kResourceExhausted, not abort.
-TEST_F(ChaosTest, ForcedStampedWorkspaceSurfacesResourceExhausted) {
+// A denied membership-mask growth degrades the workspace to binary-search
+// membership: Prepare succeeds and the run's answer does not change.
+TEST_F(ChaosTest, DeniedWorkspaceGrowthDegradesToBinarySearch) {
   Graph data = RandomData(8301, 60, 5.0, 3);
   Graph query = RandomQuery(data, 8302, 4);
   auto matcher = MakeMatcherByName("Hybrid").ValueOrDie();
-  ASSERT_TRUE(failpoint::Activate("workspace.grow", "error").ok());
-
-  EnumeratorWorkspace forced;
-  forced.set_mode(EnumeratorWorkspace::MembershipMode::kForceStamped);
   auto filter = matcher->config().filter;
   CandidateSet candidates =
       filter->Filter(query, data).ValueOrDie();
@@ -349,14 +345,22 @@ TEST_F(ChaosTest, ForcedStampedWorkspaceSurfacesResourceExhausted) {
   ctx.candidates = &candidates;
   std::vector<VertexId> order =
       matcher->config().ordering->MakeOrder(ctx).ValueOrDie();
-  Status denied = forced.Prepare(query, data, candidates, order);
-  EXPECT_TRUE(denied.IsResourceExhausted());
+  ASSERT_TRUE(failpoint::Activate("workspace.grow", "error").ok());
 
-  // kAuto degrades instead: same inputs, sparse fallback, success.
-  EnumeratorWorkspace auto_ws;
-  EXPECT_TRUE(auto_ws.Prepare(query, data, candidates, order).ok());
-  EXPECT_FALSE(auto_ws.stats().last_mask);
-  EXPECT_GE(auto_ws.stats().sparse_fallbacks, 1u);
+  EnumeratorWorkspace degraded_ws;
+  EXPECT_TRUE(degraded_ws.Prepare(query, data, candidates, order).ok());
+  EXPECT_FALSE(degraded_ws.stats().last_mask);
+  EXPECT_GE(degraded_ws.stats().sparse_fallbacks, 1u);
+  const EnumerateResult degraded =
+      Enumerator()
+          .Run(query, data, candidates, order, {}, &degraded_ws)
+          .ValueOrDie();
+  failpoint::DeactivateAll();
+  const EnumerateResult masked =
+      Enumerator().Run(query, data, candidates, order, {}).ValueOrDie();
+  EXPECT_GT(masked.num_matches, 0u);
+  EXPECT_EQ(degraded.num_matches, masked.num_matches);
+  EXPECT_EQ(degraded.num_enumerations, masked.num_enumerations);
 }
 
 // The three I/O failpoints inject at their real call sites: loading a

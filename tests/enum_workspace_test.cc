@@ -16,8 +16,7 @@ namespace {
 using testing_util::IsIsomorphism;
 using testing_util::RandomData;
 using testing_util::RandomQuery;
-
-using MembershipMode = EnumeratorWorkspace::MembershipMode;
+using testing_util::ScopedGrowthDenied;
 
 EnumerateOptions Unlimited() {
   EnumerateOptions opts;
@@ -31,12 +30,13 @@ std::vector<VertexId> IdentityOrder(const Graph& q) {
   return order;
 }
 
-/// Randomized equivalence: one reused workspace, every membership mode, the
-/// result always equals BruteForceMatch — the reference the seed bitmap path
-/// was validated against.
+/// Randomized equivalence: a reused mask workspace and a fresh workspace
+/// whose mask growth is denied (binary-search membership) both equal
+/// BruteForceMatch — the reference the seed bitmap path was validated
+/// against.
 class WorkspaceEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(WorkspaceEquivalenceTest, AllModesAgreeWithBruteForce) {
+TEST_P(WorkspaceEquivalenceTest, MaskAndFallbackAgreeWithBruteForce) {
   const uint64_t seed = GetParam();
   Graph data = RandomData(seed, 50, 4.0, 3);
   Graph query = RandomQuery(data, seed * 17 + 3, 3 + seed % 3);
@@ -51,19 +51,26 @@ TEST_P(WorkspaceEquivalenceTest, AllModesAgreeWithBruteForce) {
   auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
 
   Enumerator enumerator;
-  EnumeratorWorkspace ws;  // shared across all modes: epochs must isolate
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch,
-                              MembershipMode::kAuto}) {
-    ws.set_mode(mode);
+  EnumeratorWorkspace ws;  // reused: the second run must see no stale bits
+  for (int run = 0; run < 2; ++run) {
     auto result =
         enumerator.Run(query, data, cs, order, Unlimited(), &ws).ValueOrDie();
-    EXPECT_EQ(result.num_matches, expected)
-        << "mode=" << static_cast<int>(mode);
+    EXPECT_EQ(result.num_matches, expected) << "run=" << run;
     EXPECT_FALSE(result.timed_out);
   }
-  EXPECT_EQ(ws.stats().prepares, 3u);
-  EXPECT_EQ(ws.stats().mask_prepares, 2u);  // forced-stamped + auto
+  EXPECT_EQ(ws.stats().prepares, 2u);
+  EXPECT_EQ(ws.stats().mask_prepares, 2u);
+
+  EnumeratorWorkspace denied;
+  {
+    ScopedGrowthDenied deny;
+    auto result = enumerator.Run(query, data, cs, order, Unlimited(), &denied)
+                      .ValueOrDie();
+    EXPECT_EQ(result.num_matches, expected);
+    EXPECT_FALSE(result.timed_out);
+  }
+  EXPECT_EQ(denied.stats().mask_prepares, 0u);
+  EXPECT_EQ(denied.stats().sparse_fallbacks, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkspaceEquivalenceTest,
@@ -89,14 +96,14 @@ TEST(EnumWorkspaceTest, DisconnectedQueryMatchesBruteForce) {
 
   CandidateSet cs = LDFFilter().Filter(query, data).ValueOrDie();
   Enumerator enumerator;
-  EnumeratorWorkspace ws;
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch}) {
-    ws.set_mode(mode);
+  for (bool denied : {false, true}) {
+    ScopedGrowthDenied deny(denied);
+    EnumeratorWorkspace ws;
     auto result =
         enumerator.Run(query, data, cs, IdentityOrder(query), Unlimited(), &ws)
             .ValueOrDie();
-    EXPECT_EQ(result.num_matches, expected);
+    EXPECT_EQ(result.num_matches, expected) << "denied=" << denied;
+    EXPECT_EQ(ws.stats().last_mask, !denied);
   }
 }
 
@@ -213,9 +220,9 @@ TEST(EnumWorkspaceTest, ExpiredExternalDeadlineCountsSetupAgainstBudget) {
   EXPECT_EQ(result.num_enumerations, 0u);
 }
 
-TEST(EnumWorkspaceTest, AutoModeUsesMaskOnLargeSparseGraph) {
+TEST(EnumWorkspaceTest, MaskUsedOnLargeSparseGraph) {
   // 70k vertices with 200 uniform labels: every candidate row fills ~0.5%
-  // of the graph. kAuto still answers membership from the bitmask — one
+  // of the graph. Membership is still answered from the bitmask — one
   // word per data vertex for this 4-vertex query — with the same counts as
   // binary search.
   LabelConfig labels;
@@ -239,7 +246,7 @@ TEST(EnumWorkspaceTest, AutoModeUsesMaskOnLargeSparseGraph) {
             data.num_vertices() * sizeof(uint64_t));
 
   EnumeratorWorkspace search_ws;
-  search_ws.set_mode(MembershipMode::kForceBinarySearch);
+  ScopedGrowthDenied deny;
   auto searched =
       enumerator.Run(query, data, cs, order, {}, &search_ws).ValueOrDie();
   EXPECT_FALSE(search_ws.stats().last_mask);
@@ -305,26 +312,26 @@ TEST(EnumWorkspaceTest, TwoWordMaskAgreesWithBinarySearch) {
   const PathCase full = PrunedPath(data, 70, 70, 7);
 
   EnumeratorWorkspace search_ws;
-  search_ws.set_mode(MembershipMode::kForceBinarySearch);
-  const EnumerateResult expected = RunStored(pruned, data, &search_ws);
-  // The pruning of query vertices 64..69 must bite: fewer matches than the
-  // unpruned path, but some.
-  EXPECT_GT(expected.num_matches, 0u);
-  EXPECT_LT(expected.num_matches,
-            RunStored(full, data, &search_ws).num_matches);
-
-  for (MembershipMode mode :
-       {MembershipMode::kAuto, MembershipMode::kForceStamped}) {
-    EnumeratorWorkspace ws;
-    ws.set_mode(mode);
-    const EnumerateResult got = RunStored(pruned, data, &ws);
-    EXPECT_TRUE(ws.stats().last_mask);
-    EXPECT_EQ(ws.stats().mask_bytes,
-              2 * data.num_vertices() * sizeof(uint64_t));
-    EXPECT_EQ(got.num_matches, expected.num_matches);
-    EXPECT_EQ(got.num_enumerations, expected.num_enumerations);
-    EXPECT_EQ(got.embeddings, expected.embeddings);
+  EnumerateResult expected;
+  {
+    ScopedGrowthDenied deny;
+    expected = RunStored(pruned, data, &search_ws);
+    // The pruning of query vertices 64..69 must bite: fewer matches than
+    // the unpruned path, but some.
+    EXPECT_GT(expected.num_matches, 0u);
+    EXPECT_LT(expected.num_matches,
+              RunStored(full, data, &search_ws).num_matches);
   }
+  EXPECT_EQ(search_ws.stats().mask_prepares, 0u);
+
+  EnumeratorWorkspace ws;
+  const EnumerateResult got = RunStored(pruned, data, &ws);
+  EXPECT_TRUE(ws.stats().last_mask);
+  EXPECT_EQ(ws.stats().mask_bytes,
+            2 * data.num_vertices() * sizeof(uint64_t));
+  EXPECT_EQ(got.num_matches, expected.num_matches);
+  EXPECT_EQ(got.num_enumerations, expected.num_enumerations);
+  EXPECT_EQ(got.embeddings, expected.embeddings);
   for (const std::vector<VertexId>& embedding : expected.embeddings) {
     EXPECT_TRUE(IsIsomorphism(pruned.query, data, embedding));
     for (VertexId u = 64; u < 70; ++u) EXPECT_NE(embedding[u] % 7, 0u);
@@ -342,8 +349,12 @@ TEST(EnumWorkspaceTest, MaskWidthChangesLeaveNoStaleBits) {
   EnumeratorWorkspace reused;
   for (const PathCase* c : {&wide, &narrow, &wide, &narrow}) {
     EnumeratorWorkspace fresh;
-    fresh.set_mode(MembershipMode::kForceBinarySearch);
-    const EnumerateResult expected = RunStored(*c, data, &fresh);
+    EnumerateResult expected;
+    {
+      ScopedGrowthDenied deny;
+      expected = RunStored(*c, data, &fresh);
+    }
+    EXPECT_FALSE(fresh.stats().last_mask);
     const EnumerateResult got = RunStored(*c, data, &reused);
     EXPECT_TRUE(reused.stats().last_mask);
     EXPECT_EQ(got.num_matches, expected.num_matches)
@@ -385,10 +396,9 @@ TEST(EnumWorkspaceTest, OutOfRangeCandidatesRejectedOnBothPaths) {
     cs.Set(u, {data.num_vertices() + 1});
   }
   Enumerator enumerator;
-  EnumeratorWorkspace ws;
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch}) {
-    ws.set_mode(mode);
+  for (bool denied : {false, true}) {
+    ScopedGrowthDenied deny(denied);
+    EnumeratorWorkspace ws;
     auto result =
         enumerator.Run(query, data, cs, IdentityOrder(query), {}, &ws);
     EXPECT_FALSE(result.ok());

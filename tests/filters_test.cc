@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "common/failpoint.h"
+#include "common/memory_budget.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "test_util.h"
@@ -9,6 +14,7 @@ namespace {
 
 using testing_util::RandomData;
 using testing_util::RandomQuery;
+using testing_util::ScopedGrowthDenied;
 
 /// Triangle query A-B-C.
 Graph TriangleQuery() {
@@ -187,6 +193,129 @@ TEST(FiltersTest, CandidateSetBasics) {
   EXPECT_FALSE(cs.AnyEmpty());
   EXPECT_EQ(cs.TotalSize(), 4u);
   EXPECT_NE(cs.ToString().find("C(0)=3"), std::string::npos);
+}
+
+/// The candidate sets of the two filters whose refinement tests membership
+/// through the thread-local CandidateMask.
+struct Refined {
+  CandidateSet gql;
+  CandidateSet dag;
+};
+
+Refined Refine(const Graph& query, const Graph& data) {
+  return {GQLFilter().Filter(query, data).ValueOrDie(),
+          DagDpFilter().Filter(query, data).ValueOrDie()};
+}
+
+/// Refine on a new thread, whose thread-local mask starts unallocated: its
+/// first Reset has to grow the mask.
+Refined RefineOnFreshThread(const Graph& query, const Graph& data) {
+  Refined out;
+  std::thread([&] { out = Refine(query, data); }).join();
+  return out;
+}
+
+void ExpectSameSets(const Refined& got, const Refined& want) {
+  ASSERT_EQ(got.gql.num_query_vertices(), want.gql.num_query_vertices());
+  ASSERT_EQ(got.dag.num_query_vertices(), want.dag.num_query_vertices());
+  for (VertexId u = 0; u < want.gql.num_query_vertices(); ++u) {
+    EXPECT_EQ(got.gql.candidates(u), want.gql.candidates(u)) << "GQL u=" << u;
+    EXPECT_EQ(got.dag.candidates(u), want.dag.candidates(u))
+        << "DAG-DP u=" << u;
+  }
+}
+
+struct MaskCase {
+  const char* name;
+  Graph data;
+  Graph query;
+};
+
+/// 400 data vertices, so even a one-word mask (3200 bytes) exceeds a
+/// 1 KiB budget: a small undirected query, a 70-vertex query whose second
+/// mask word holds C(64..69), and a directed edge-labeled pair.
+std::vector<MaskCase> MaskCases() {
+  std::vector<MaskCase> cases;
+  {
+    Graph data = RandomData(1701, 400, 6.0, 3);
+    Graph query = RandomQuery(data, 1702, 6);
+    cases.push_back({"undirected", std::move(data), std::move(query)});
+  }
+  {
+    Graph data = RandomData(1703, 400, 6.0, 3);
+    Graph query = RandomQuery(data, 1704, 70);
+    cases.push_back({"70-vertex query", std::move(data), std::move(query)});
+  }
+  {
+    LabelConfig cfg;
+    cfg.num_labels = 2;
+    cfg.num_edge_labels = 2;
+    cfg.directed = true;
+    Graph data = GenerateErdosRenyi(400, 8.0, cfg, 1705).ValueOrDie();
+    Graph query = RandomQuery(data, 1706, 5);
+    cases.push_back(
+        {"directed-edge-labeled", std::move(data), std::move(query)});
+  }
+  return cases;
+}
+
+class FilterMaskTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    failpoint::DeactivateAll();
+    MemoryBudget::Global().set_limit_bytes(0);
+  }
+};
+
+// GQL's single Reset plus DAG-DP's two Resets per sweep.
+constexpr uint64_t kResetsPerRefine = 1 + 2 * 3;
+
+// Denied mask growth — through the failpoint or an exhausted budget —
+// leaves the refinement filters on binary search over the live candidate
+// sets, with the same output as the mask.
+TEST_F(FilterMaskTest, GrowthDeniedGivesSameCandidateSets) {
+  for (const MaskCase& c : MaskCases()) {
+    SCOPED_TRACE(c.name);
+    const Refined masked = RefineOnFreshThread(c.query, c.data);
+    // The refinement must prune, or membership decided nothing.
+    const CandidateSet nlf = NLFFilter().Filter(c.query, c.data).ValueOrDie();
+    EXPECT_LT(masked.gql.TotalSize(), nlf.TotalSize());
+    EXPECT_LT(masked.dag.TotalSize(), nlf.TotalSize());
+    {
+      const uint64_t fires = failpoint::FireCount("workspace.grow");
+      ScopedGrowthDenied deny;
+      ExpectSameSets(RefineOnFreshThread(c.query, c.data), masked);
+      EXPECT_EQ(failpoint::FireCount("workspace.grow") - fires,
+                kResetsPerRefine);
+    }
+    {
+      const uint64_t denials = MemoryBudget::Global().denials();
+      MemoryBudget::Global().set_limit_bytes(1024);
+      ExpectSameSets(RefineOnFreshThread(c.query, c.data), masked);
+      MemoryBudget::Global().set_limit_bytes(0);
+      EXPECT_EQ(MemoryBudget::Global().denials() - denials, kResetsPerRefine);
+    }
+  }
+}
+
+// 70 -> 4 -> 70 -> 4 query vertices on one thread: the mask stride goes
+// 2 -> 1 -> 2 -> 1 words per data vertex. A bit left over from the previous
+// layout would read as a member of a pruned candidate set and change what
+// the refinement keeps. The filter-side twin of the workspace's
+// MaskWidthChangesLeaveNoStaleBits.
+TEST_F(FilterMaskTest, QuerySizeChangesLeaveNoStaleBits) {
+  const Graph data = RandomData(1703, 400, 6.0, 3);
+  const Graph wide = RandomQuery(data, 1704, 70);
+  const Graph narrow = RandomQuery(data, 1707, 4);
+  const std::vector<const Graph*> sequence = {&wide, &narrow, &wide, &narrow};
+  std::vector<Refined> reused;
+  std::thread([&] {
+    for (const Graph* q : sequence) reused.push_back(Refine(*q, data));
+  }).join();
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    ExpectSameSets(reused[i], RefineOnFreshThread(*sequence[i], data));
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ using testing_util::DeterministicFields;
 using testing_util::IsIsomorphism;
 using testing_util::KernelInvariantFields;
 using testing_util::RandomQuery;
+using testing_util::ScopedGrowthDenied;
 
 struct PreparedQuery {
   Graph query;
@@ -443,16 +444,16 @@ std::vector<LeafCase> LeafCases() {
 
 // The last order position counts its accepted candidates in one scan and
 // claims them with one TryClaimMatches call. Over serial and 1/2/4
-// threads x store_embeddings x every membership mode x limits at and
-// around every boundary — including one landing inside a leaf's candidate
-// set — a run emits exactly min(total, limit), reports hit_match_limit iff
-// limit <= total, and serial #enum depends on neither the membership mode
-// nor store_embeddings. A capped serial run stores the first `limit`
+// threads x store_embeddings x {mask membership, mask growth denied on
+// fresh workspaces (binary search)} x limits at and around every boundary
+// — including one landing inside a leaf's candidate set — a run emits
+// exactly min(total, limit), reports hit_match_limit iff limit <= total,
+// and serial #enum depends on neither the membership path nor
+// store_embeddings. A capped serial run stores the first `limit`
 // embeddings of the unlimited run (the grant is emitted in scan order);
 // parallel runs store distinct valid embeddings, and untruncated parallel
 // runs are bit-identical to serial.
 TEST(ParallelEnumTest, LeafLoopExactAcrossModesLimitsAndThreads) {
-  using MembershipMode = EnumeratorWorkspace::MembershipMode;
   std::vector<std::unique_ptr<ThreadPool>> pools;
   for (uint32_t threads : {1u, 2u, 4u}) {
     pools.push_back(std::make_unique<ThreadPool>(threads));
@@ -488,14 +489,12 @@ TEST(ParallelEnumTest, LeafLoopExactAcrossModesLimitsAndThreads) {
     ASSERT_NE(mid, 0u) << "no leaf set with two embeddings past the middle";
 
     std::map<uint64_t, uint64_t> serial_enum;  // limit -> serial #enum
-    for (MembershipMode mode : {MembershipMode::kAuto,
-                                MembershipMode::kForceStamped,
-                                MembershipMode::kForceBinarySearch}) {
+    for (bool denied : {false, true}) {
       for (bool store : {false, true}) {
         for (uint64_t limit :
              {uint64_t{0}, uint64_t{1}, uint64_t{2}, mid, total - 1, total,
               total + 1}) {
-          SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+          SCOPED_TRACE("denied=" + std::to_string(denied) +
                        " store=" + std::to_string(store) +
                        " limit=" + std::to_string(limit));
           const uint64_t expected = limit == 0 ? total : std::min(total, limit);
@@ -504,13 +503,14 @@ TEST(ParallelEnumTest, LeafLoopExactAcrossModesLimitsAndThreads) {
           opts.match_limit = limit;
           opts.store_embeddings = store;
 
+          ScopedGrowthDenied deny(denied);
           EnumeratorWorkspace serial_ws;
-          serial_ws.set_mode(mode);
           const EnumerateResult serial =
               Enumerator()
                   .Run(pq.query, data, pq.candidates, pq.order, opts,
                        &serial_ws)
                   .ValueOrDie();
+          EXPECT_EQ(serial_ws.stats().last_mask, !denied);
           EXPECT_EQ(serial.num_matches, expected);
           EXPECT_EQ(serial.hit_match_limit, hits);
           const auto [it, inserted] =
@@ -532,12 +532,15 @@ TEST(ParallelEnumTest, LeafLoopExactAcrossModesLimitsAndThreads) {
             const uint32_t threads = static_cast<uint32_t>(pool->size());
             SCOPED_TRACE("threads=" + std::to_string(threads));
             std::vector<EnumeratorWorkspace> workspaces(pool->size());
-            for (EnumeratorWorkspace& ws : workspaces) ws.set_mode(mode);
             EnumeratorWorkspace caller_ws;
-            caller_ws.set_mode(mode);
             const EnumerateResult parallel =
                 RunParallelWith(data, pq, opts, threads, pool.get(),
                                 &workspaces, &caller_ws);
+            if (denied) {
+              for (const EnumeratorWorkspace& ws : workspaces) {
+                EXPECT_EQ(ws.stats().mask_prepares, 0u);
+              }
+            }
             EXPECT_EQ(parallel.num_matches, expected);
             EXPECT_EQ(parallel.hit_match_limit, hits);
             EXPECT_FALSE(parallel.timed_out);

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
+#include "common/failpoint.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/query_sampler.h"
@@ -84,6 +86,26 @@ inline std::map<std::string, uint64_t> KernelInvariantFields(
   }
   return fields;
 }
+
+/// While alive (and `active`), every CandidateMask growth is denied through
+/// the `workspace.grow` failpoint, so a fresh EnumeratorWorkspace, or a
+/// fresh thread's filter mask, answers membership by binary search.
+class ScopedGrowthDenied {
+ public:
+  explicit ScopedGrowthDenied(bool active = true) : active_(active) {
+    if (active_) {
+      RLQVO_CHECK(failpoint::Activate("workspace.grow", "error").ok());
+    }
+  }
+  ~ScopedGrowthDenied() {
+    if (active_) failpoint::Deactivate("workspace.grow");
+  }
+  ScopedGrowthDenied(const ScopedGrowthDenied&) = delete;
+  ScopedGrowthDenied& operator=(const ScopedGrowthDenied&) = delete;
+
+ private:
+  bool active_;
+};
 
 }  // namespace testing_util
 }  // namespace rlqvo
